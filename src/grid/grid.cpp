@@ -168,10 +168,6 @@ Result<std::unique_ptr<Grid>> GridBuilder::build() {
     config.rng_seed = rng.next_u64();
     config.mode = mode_;
     if (configure_proxy_) configure_proxy_(config);
-    grid->data_plane_[shard] = Grid::DataPlaneKnobs{
-        config.mpi_reliable && config.mpi_batch_flush_interval > 0,
-        config.mpi_ack_rto_initial, config.mpi_ack_rto_max,
-        config.mpi_inflight_max_bytes};
     grid->proxies_[shard] =
         std::make_unique<proxy::ProxyServer>(std::move(config));
   }
@@ -293,10 +289,8 @@ Status Grid::home_node(const std::string& site, const std::string& shard,
   agent_config.encrypted = encrypted;
   agent_config.clock = &clock_;
   agent_config.rng_seed = rng.next_u64();
-  agent_config.reliable = data_plane_.at(shard).reliable;
-  agent_config.ack_rto_initial = data_plane_.at(shard).ack_rto_initial;
-  agent_config.ack_rto_max = data_plane_.at(shard).ack_rto_max;
-  agent_config.inflight_max_bytes = data_plane_.at(shard).inflight_max_bytes;
+  // The node's sender window mirrors its proxy's links.
+  agent_config.window = proxy_server.sender_window_config();
   if (encrypted) {
     const crypto::RsaKeyPair keys = crypto::rsa_generate(key_bits_, rng);
     agent_config.gssl = tls::GsslConfig{

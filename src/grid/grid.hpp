@@ -253,15 +253,6 @@ class Grid {
   /// Per logical site: node -> profile/security, kept for re-homing.
   std::map<std::string, std::map<std::string, GridBuilder::NodeSpec>>
       node_specs_;
-  /// Per shard: the data-plane knobs its node agents must mirror (a
-  /// tracking sender whose receiver never acks would retransmit forever).
-  struct DataPlaneKnobs {
-    bool reliable = true;
-    TimeMicros ack_rto_initial = 0;
-    TimeMicros ack_rto_max = 0;
-    std::size_t inflight_max_bytes = 0;
-  };
-  std::map<std::string, DataPlaneKnobs> data_plane_;
   Rng rehome_rng_{0};
   std::size_t key_bits_ = 768;
   proxy::SecurityMode mode_ = proxy::SecurityMode::kProxyTunneling;

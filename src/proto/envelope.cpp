@@ -22,7 +22,6 @@ const char* opcode_name(OpCode op) {
     case OpCode::kJobQuery: return "job_query";
     case OpCode::kMpiOpen: return "mpi_open";
     case OpCode::kMpiOpenAck: return "mpi_open_ack";
-    case OpCode::kMpiData: return "mpi_data";
     case OpCode::kMpiClose: return "mpi_close";
     case OpCode::kMpiStart: return "mpi_start";
     case OpCode::kMpiDone: return "mpi_done";
@@ -77,7 +76,6 @@ void serialize_envelope(OpCode op, std::uint64_t request_id,
 
 void Envelope::serialize_into(Bytes& out) const {
   serialize_envelope(op, request_id, trace_id, span_id, payload, out);
-  out[0] = version;  // honor a caller-overridden version byte
 }
 
 Bytes Envelope::serialize() const {
@@ -89,12 +87,12 @@ Bytes Envelope::serialize() const {
 Result<Envelope> Envelope::deserialize(BytesView data) {
   BufferReader r(data);
   Envelope env;
+  std::uint8_t version = 0;
   std::uint16_t op_raw = 0;
-  PG_RETURN_IF_ERROR(r.get_u8(env.version));
-  if (env.version < kMinProtocolVersion || env.version > kProtocolVersion)
+  PG_RETURN_IF_ERROR(r.get_u8(version));
+  if (version != kProtocolVersion)
     return error(ErrorCode::kProtocolError,
-                 "unsupported protocol version " +
-                     std::to_string(env.version));
+                 "unsupported protocol version " + std::to_string(version));
   PG_RETURN_IF_ERROR(r.get_u16(op_raw));
   env.op = static_cast<OpCode>(op_raw);
   PG_RETURN_IF_ERROR(r.get_u64(env.request_id));

@@ -12,13 +12,10 @@
 
 namespace pg::proto {
 
-/// Version 2 added the trace-context pair; version 3 added the kMpiBatch
-/// data-plane op; version 4 added kMpiBatchAck (the reliable data plane);
-/// version 5 added kShardStatus (sharded proxy tier — see docs/PROTOCOL.md).
-/// The header layout is unchanged since v2, so all of
-/// [kMinProtocolVersion, kProtocolVersion] are accepted at parse time.
+/// The first byte of every envelope. Only this version is accepted: every
+/// proxy and node agent of a grid runs the same build, so there is no
+/// older peer to stay compatible with (see docs/PROTOCOL.md).
 constexpr std::uint8_t kProtocolVersion = 5;
-constexpr std::uint8_t kMinProtocolVersion = 2;
 
 /// Well-known operation codes. The space is open: proxies route unknown
 /// codes to registered extension handlers (see Dispatcher) instead of
@@ -41,7 +38,7 @@ enum class OpCode : std::uint16_t {
   // Layer 3: control & monitoring
   kStatusQuery = 20,
   kStatusReport = 21,
-  /// Intra-site gossip between proxy shards of one site (v5): a shard's
+  /// Intra-site gossip between proxy shards of one site: a shard's
   /// partial status report plus the collector-lease epoch, so any shard
   /// can answer for the whole site and lease handoffs stay ordered.
   kShardStatus = 22,
@@ -54,7 +51,7 @@ enum class OpCode : std::uint16_t {
   // Layer 4: MPI support
   kMpiOpen = 40,
   kMpiOpenAck = 41,
-  kMpiData = 42,
+  // 42 carried single unbatched data messages; retired, do not reuse.
   kMpiClose = 43,
   /// Second phase of application launch: sent only after every site acked
   /// kMpiOpen, so routing tables exist everywhere before any rank runs.
@@ -65,13 +62,13 @@ enum class OpCode : std::uint16_t {
   /// node hosting ranks of the app. The origin fails the run with a
   /// retryable error so the job layer can re-dispatch it.
   kMpiAbort = 46,
-  /// Coalesced MPI data frames (protocol v3): one envelope — one sealed
-  /// record on GSSL links — carrying many MpiData-equivalent frames bound
-  /// for the same destination, each addressable to multiple ranks (the
-  /// site-aware collective fan-out). Payload is proto::MpiBatch.
+  /// MPI data frames: one envelope — one sealed record on GSSL links —
+  /// carrying one or more frames bound for the same destination, each
+  /// addressable to multiple ranks (the site-aware collective fan-out).
+  /// The only data-plane op. Payload is proto::MpiBatch.
   kMpiBatch = 47,
-  /// Receiver -> sender acknowledgement of kMpiBatch deliveries (protocol
-  /// v4): cumulative + selective (origin, seq) coverage, so senders can
+  /// Receiver -> sender acknowledgement of kMpiBatch deliveries:
+  /// cumulative + selective (origin, seq) coverage, so senders can
   /// release their in-flight window and retransmit only what was lost.
   /// Payload is proto::MpiBatchAck. Unacknowledged batches retransmit on
   /// an RTO timer — the at-least-once half of the effectively-exactly-once
@@ -102,10 +99,9 @@ enum class OpCode : std::uint16_t {
 
 const char* opcode_name(OpCode op);
 
-/// Every control message on the wire: version, op, correlation id, trace
-/// context, payload.
+/// Every control message on the wire: version byte (kProtocolVersion), op,
+/// correlation id, trace context, payload.
 struct Envelope {
-  std::uint8_t version = kProtocolVersion;
   OpCode op = OpCode::kError;
   /// Correlates responses with requests; 0 for unsolicited messages.
   std::uint64_t request_id = 0;

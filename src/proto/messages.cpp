@@ -329,28 +329,6 @@ Result<MpiOpenAck> MpiOpenAck::parse(BytesView data) {
   return m;
 }
 
-Bytes MpiData::serialize() const {
-  BufferWriter w;
-  w.put_u64(app_id);
-  w.put_u32(src_rank);
-  w.put_u32(dst_rank);
-  w.put_u32(tag);
-  w.put_bytes(payload);
-  return w.take();
-}
-
-Result<MpiData> MpiData::parse(BytesView data) {
-  BufferReader r(data);
-  MpiData m;
-  PG_RETURN_IF_ERROR(r.get_u64(m.app_id));
-  PG_RETURN_IF_ERROR(r.get_u32(m.src_rank));
-  PG_RETURN_IF_ERROR(r.get_u32(m.dst_rank));
-  PG_RETURN_IF_ERROR(r.get_u32(m.tag));
-  PG_RETURN_IF_ERROR(r.get_bytes(m.payload));
-  PG_RETURN_IF_ERROR(r.expect_end());
-  return m;
-}
-
 Bytes MpiBatch::serialize() const {
   BufferWriter w;
   w.put_string(origin);

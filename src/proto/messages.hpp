@@ -102,7 +102,7 @@ struct StatusReport {
   static Result<StatusReport> parse(BytesView data);
 };
 
-/// Shard-group status gossip (v5, kShardStatus): one proxy shard's
+/// Shard-group status gossip (kShardStatus): one proxy shard's
 /// partial view of its site — the nodes attached to THAT shard — plus
 /// the collector-lease epoch it has observed. Siblings merge the partial
 /// reports into a full site view and use the epoch to keep collector
@@ -189,17 +189,6 @@ struct MpiOpenAck {
   static Result<MpiOpenAck> parse(BytesView data);
 };
 
-struct MpiData {
-  std::uint64_t app_id = 0;
-  std::uint32_t src_rank = 0;
-  std::uint32_t dst_rank = 0;
-  std::uint32_t tag = 0;
-  Bytes payload;
-
-  Bytes serialize() const;
-  static Result<MpiData> parse(BytesView data);
-};
-
 /// One logical MPI message inside a kMpiBatch envelope. `dst_ranks` with
 /// more than one entry is a fan-out frame: the payload travels the link
 /// once and the receiver delivers it to every listed rank (the proxy's
@@ -214,8 +203,8 @@ struct MpiFrame {
   friend bool operator==(const MpiFrame&, const MpiFrame&) = default;
 };
 
-/// kMpiBatch payload: MpiData-equivalent frames coalesced into one
-/// envelope / one sealed record per link flush. (origin, seq) identifies
+/// kMpiBatch payload: frames coalesced into one envelope / one sealed
+/// record per link flush. (origin, seq) identifies
 /// the batch so receivers can drop a duplicated or retransmitted batch
 /// after the first delivery.
 struct MpiBatch {

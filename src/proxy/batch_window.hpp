@@ -86,13 +86,6 @@ class BatchAckTracker {
     return cov;
   }
 
-  /// Forgets an origin (its peer link was torn down and re-dialed links
-  /// restart their seq space from 1).
-  void reset(const std::string& origin) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    states_.erase(origin);
-  }
-
  private:
   struct State {
     std::uint64_t cumulative = 0;

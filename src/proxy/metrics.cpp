@@ -18,9 +18,9 @@ constexpr proto::OpCode kCountedOps[] = {
     proto::OpCode::kShardStatus, proto::OpCode::kAuthRequest,
     proto::OpCode::kJobSubmit,
     proto::OpCode::kJobQuery,    proto::OpCode::kMpiOpen,
-    proto::OpCode::kMpiStart,    proto::OpCode::kMpiData,
-    proto::OpCode::kMpiBatch,    proto::OpCode::kMpiBatchAck,
-    proto::OpCode::kMpiClose,    proto::OpCode::kMpiDone,
+    proto::OpCode::kMpiStart,    proto::OpCode::kMpiBatch,
+    proto::OpCode::kMpiBatchAck, proto::OpCode::kMpiClose,
+    proto::OpCode::kMpiDone,
     proto::OpCode::kTunnelOpen,  proto::OpCode::kTunnelData,
     proto::OpCode::kTunnelClose,
 };

@@ -3,7 +3,6 @@
 #include "common/logging.hpp"
 #include "common/serde.hpp"
 #include "mpi/mailbox.hpp"
-#include "net/reactor.hpp"
 #include "proxy/resilience.hpp"
 
 namespace pg::proxy {
@@ -68,23 +67,20 @@ class NodeAgent::AppFabric final : public mpi::Fabric {
 
 NodeAgent::NodeAgent(NodeAgentConfig config)
     : config_(std::move(config)),
-      retransmits_(telemetry::MetricRegistry::global().counter(
-          "pg_mpi_retransmit_total",
-          "kMpiBatch envelopes retransmitted after an RTO",
-          {{"site", config_.site}, {"sender", config_.node_name}})),
-      ack_rtt_(telemetry::MetricRegistry::global().histogram(
-          "pg_mpi_ack_rtt_micros",
-          "kMpiBatchAck round-trip time, clean (never-retransmitted) batches",
-          telemetry::duration_buckets_micros(),
-          {{"site", config_.site}, {"sender", config_.node_name}})) {
-  if (config_.reliable) {
-    SenderWindowConfig wc;
-    wc.rto_initial_micros = config_.ack_rto_initial;
-    wc.rto_max_micros = config_.ack_rto_max;
-    wc.budget_max_bytes = config_.inflight_max_bytes;
-    window_ = std::make_unique<SenderWindow>(wc);
-  }
-}
+      batch_sender_(
+          config_.site + "/" + config_.node_name, config_.window,
+          [this](const BatchLink&) { return connection_.get(); },
+          BatchSenderInstruments{
+              telemetry::MetricRegistry::global().counter(
+                  "pg_mpi_retransmit_total",
+                  "kMpiBatch envelopes retransmitted after an RTO",
+                  {{"site", config_.site}, {"sender", config_.node_name}}),
+              telemetry::MetricRegistry::global().histogram(
+                  "pg_mpi_ack_rtt_micros",
+                  "kMpiBatchAck round-trip time, clean (never-retransmitted) "
+                  "batches",
+                  telemetry::duration_buckets_micros(),
+                  {{"site", config_.site}, {"sender", config_.node_name}})}) {}
 
 Result<std::unique_ptr<NodeAgent>> NodeAgent::create(NodeAgentConfig config,
                                                      net::ChannelPtr channel) {
@@ -124,17 +120,8 @@ Result<std::unique_ptr<NodeAgent>> NodeAgent::create(NodeAgentConfig config,
 NodeAgent::~NodeAgent() { shutdown(); }
 
 void NodeAgent::shutdown() {
-  shut_down_.store(true, std::memory_order_release);
-  // Cancel the retransmission timer first: cancel_timer waits out a running
-  // callback, and retransmit_fire sees shut_down_ and will not re-arm.
-  std::uint64_t rt_timer = 0;
-  {
-    std::lock_guard<std::mutex> lock(retrans_mutex_);
-    rt_timer = retrans_timer_;
-    retrans_timer_ = 0;
-    retrans_scheduled_ = false;
-  }
-  if (rt_timer != 0) net::Reactor::global().cancel_timer(rt_timer);
+  // Cancel the retransmission timer first; it never re-arms afterwards.
+  batch_sender_.shutdown();
   // Wake any rank blocked in recv, then join runners.
   std::map<std::uint64_t, std::unique_ptr<App>> apps;
   {
@@ -158,11 +145,8 @@ void NodeAgent::handle(const proto::Envelope& envelope, Connection& conn) {
     case proto::OpCode::kMpiStart:
       handle_mpi_start(envelope);
       return;
-    case proto::OpCode::kMpiData:
-      handle_mpi_data(envelope);
-      return;
     case proto::OpCode::kMpiBatch:
-      handle_mpi_batch(envelope);
+      handle_mpi_batch(envelope, conn);
       return;
     case proto::OpCode::kMpiBatchAck:
       handle_mpi_batch_ack(envelope);
@@ -266,89 +250,44 @@ void NodeAgent::handle_mpi_start(const proto::Envelope& envelope) {
   });
 }
 
-void NodeAgent::handle_mpi_data(const proto::Envelope& envelope) {
-  Result<proto::MpiData> data = proto::MpiData::parse(envelope.payload);
-  if (!data.is_ok()) {
-    PG_WARN << "node " << config_.node_name << ": bad MpiData";
-    return;
-  }
-  std::lock_guard<std::mutex> lock(apps_mutex_);
-  const auto it = apps_.find(data.value().app_id);
-  if (it == apps_.end()) {
-    PG_WARN << "node " << config_.node_name << ": MpiData for unknown app "
-            << data.value().app_id;
-    return;
-  }
-  const auto mb = it->second->mailboxes.find(data.value().dst_rank);
-  if (mb == it->second->mailboxes.end()) {
-    PG_WARN << "node " << config_.node_name << ": MpiData for foreign rank "
-            << data.value().dst_rank;
-    return;
-  }
-  mpi::MpiMessage message;
-  message.src = data.value().src_rank;
-  message.dst = data.value().dst_rank;
-  message.tag = data.value().tag;
-  message.payload = std::move(data.value().payload);
-  (void)mb->second->deliver(std::move(message));
-}
-
-void NodeAgent::handle_mpi_batch(const proto::Envelope& envelope) {
-  Result<proto::MpiBatch> batch = proto::MpiBatch::parse(envelope.payload);
-  if (!batch.is_ok()) {
-    PG_WARN << "node " << config_.node_name << ": bad MpiBatch";
-    return;
-  }
-  if (batch_dedup_.seen_before(batch.value().origin, batch.value().seq)) {
-    PG_DEBUG << "node " << config_.node_name << ": duplicate batch "
-             << batch.value().origin << "#" << batch.value().seq;
-  } else {
-    std::lock_guard<std::mutex> lock(apps_mutex_);
-    for (proto::MpiFrame& frame : batch.value().frames) {
-      const auto it = apps_.find(frame.app_id);
-      if (it == apps_.end()) {
-        PG_WARN << "node " << config_.node_name
-                << ": MpiBatch for unknown app " << frame.app_id;
-        continue;
-      }
-      for (std::uint32_t dst : frame.dst_ranks) {
-        const auto mb = it->second->mailboxes.find(dst);
-        if (mb == it->second->mailboxes.end()) {
-          PG_WARN << "node " << config_.node_name
-                  << ": MpiBatch for foreign rank " << dst;
-          continue;
+void NodeAgent::handle_mpi_batch(const proto::Envelope& envelope,
+                                 Connection& conn) {
+  const BatchReceipt receipt = batch_receiver_.receive(
+      envelope.payload, conn, [this](proto::MpiBatch& batch) {
+        std::lock_guard<std::mutex> lock(apps_mutex_);
+        for (proto::MpiFrame& frame : batch.frames) {
+          const auto it = apps_.find(frame.app_id);
+          if (it == apps_.end()) {
+            PG_WARN << "node " << config_.node_name
+                    << ": MpiBatch for unknown app " << frame.app_id;
+            continue;
+          }
+          for (std::uint32_t dst : frame.dst_ranks) {
+            const auto mb = it->second->mailboxes.find(dst);
+            if (mb == it->second->mailboxes.end()) {
+              PG_WARN << "node " << config_.node_name
+                      << ": MpiBatch for foreign rank " << dst;
+              continue;
+            }
+            mpi::MpiMessage message;
+            message.src = frame.src_rank;
+            message.dst = dst;
+            message.tag = frame.tag;
+            message.payload = frame.payload;
+            (void)mb->second->deliver(std::move(message));
+          }
         }
-        mpi::MpiMessage message;
-        message.src = frame.src_rank;
-        message.dst = dst;
-        message.tag = frame.tag;
-        message.payload = frame.payload;
-        (void)mb->second->deliver(std::move(message));
-      }
-    }
-  }
-  if (config_.reliable) {
-    // Ack after delivery — duplicates included: a duplicate means the
-    // proxy's ack got lost, and re-acking is what stops its retransmits.
-    const AckCoverage cov =
-        ack_tracker_.record(batch.value().origin, batch.value().seq);
-    proto::MpiBatchAck ack;
-    ack.origin = batch.value().origin;
-    ack.cumulative = cov.cumulative;
-    ack.selective = cov.selective;
-    (void)connection_->notify(proto::OpCode::kMpiBatchAck, ack.serialize());
+      });
+  if (receipt == BatchReceipt::kDuplicate) {
+    PG_DEBUG << "node " << config_.node_name << ": duplicate batch";
+  } else if (receipt == BatchReceipt::kMalformed) {
+    PG_WARN << "node " << config_.node_name << ": bad MpiBatch";
   }
 }
 
 void NodeAgent::handle_mpi_batch_ack(const proto::Envelope& envelope) {
-  Result<proto::MpiBatchAck> ack = proto::MpiBatchAck::parse(envelope.payload);
-  if (!ack.is_ok() || window_ == nullptr) return;
-  // Only acks for this node's own stream move the window.
-  if (ack.value().origin != batch_origin()) return;
-  const AckOutcome out = window_->on_ack(
-      ack.value().cumulative, ack.value().selective, steady_micros());
-  for (const std::uint64_t rtt : out.rtt_samples)
-    ack_rtt_.observe(static_cast<double>(rtt));
+  (void)batch_sender_.on_ack({LinkKind::kSite, config_.site},
+                             envelope.payload);
 }
 
 void NodeAgent::handle_mpi_close(const proto::Envelope& envelope) {
@@ -368,19 +307,16 @@ void NodeAgent::handle_mpi_close(const proto::Envelope& envelope) {
   // Stop retrying the app's unacked frames — close means the app is done
   // or aborted everywhere, so nobody can still receive them. Cold path:
   // the labelled drop counter is resolved on demand.
-  if (window_ != nullptr) {
-    const SenderWindow::DropOutcome dropped =
-        window_->drop_app(close_msg.value().app_id);
-    if (dropped.frames > 0) {
-      telemetry::MetricRegistry::global()
-          .counter("pg_mpi_frames_dropped_total",
-                   "Data frames the reliability layer stopped retrying, "
-                   "by reason",
-                   {{"site", config_.site},
-                    {"sender", config_.node_name},
-                    {"reason", "app_closed"}})
-          .increment(dropped.frames);
-    }
+  const std::size_t dropped = batch_sender_.drop_app(close_msg.value().app_id);
+  if (dropped > 0) {
+    telemetry::MetricRegistry::global()
+        .counter("pg_mpi_frames_dropped_total",
+                 "Data frames the reliability layer stopped retrying, "
+                 "by reason",
+                 {{"site", config_.site},
+                  {"sender", config_.node_name},
+                  {"reason", "app_closed"}})
+        .increment(dropped);
   }
 }
 
@@ -459,78 +395,23 @@ Status NodeAgent::fabric_send(std::uint64_t app_id,
     }
   }
 
-  if (window_ != nullptr) {
-    // Reliable mode: even a single message rides a one-frame kMpiBatch so
-    // the proxy can ack it by (origin, seq) and the node can retransmit.
-    proto::MpiBatch batch;
-    proto::MpiFrame frame;
-    frame.app_id = app_id;
-    frame.src_rank = message.src;
-    frame.tag = message.tag;
-    frame.dst_ranks = {message.dst};
-    frame.payload = message.payload;
-    batch.frames.push_back(std::move(frame));
-    return send_batch(std::move(batch), {{app_id, 1}});
-  }
-  proto::MpiData data;
-  data.app_id = app_id;
-  data.src_rank = message.src;
-  data.dst_rank = message.dst;
-  data.tag = message.tag;
-  data.payload = message.payload;
-  return connection_->notify(proto::OpCode::kMpiData, data.serialize());
-}
-
-std::string NodeAgent::batch_origin() const {
-  return config_.site + "/" + config_.node_name;
+  // Even a single message rides a one-frame kMpiBatch so the proxy can ack
+  // it by (origin, seq) and the node can retransmit it.
+  proto::MpiBatch batch;
+  proto::MpiFrame frame;
+  frame.app_id = app_id;
+  frame.src_rank = message.src;
+  frame.tag = message.tag;
+  frame.dst_ranks = {message.dst};
+  frame.payload = message.payload;
+  batch.frames.push_back(std::move(frame));
+  return send_batch(std::move(batch), {{app_id, 1}});
 }
 
 Status NodeAgent::send_batch(
-    proto::MpiBatch&& batch, std::map<std::uint64_t, std::size_t> frames_per_app) {
-  batch.origin = batch_origin();
-  batch.seq = window_ != nullptr
-                  ? window_->next_seq()
-                  : batch_seq_.fetch_add(1, std::memory_order_relaxed);
-  const Bytes wire = batch.serialize();
-  if (window_ != nullptr) {
-    // Track before sending: the ack may race back on the reactor thread.
-    window_->track(batch.seq, wire, std::move(frames_per_app),
-                   steady_micros());
-    schedule_retransmit();
-  }
-  return connection_->notify(proto::OpCode::kMpiBatch, wire);
-}
-
-void NodeAgent::schedule_retransmit() {
-  std::lock_guard<std::mutex> lock(retrans_mutex_);
-  schedule_retransmit_locked();
-}
-
-void NodeAgent::schedule_retransmit_locked() {
-  if (retrans_scheduled_ || window_ == nullptr) return;
-  if (shut_down_.load(std::memory_order_acquire)) return;
-  const std::uint64_t next = window_->next_deadline();
-  if (next == 0) return;  // nothing in flight, no timer needed
-  const TimeMicros now = steady_micros();
-  retrans_scheduled_ = true;
-  retrans_timer_ = net::Reactor::global().schedule_timer(
-      next > now ? next - now : TimeMicros{1}, [this] { retransmit_fire(); });
-}
-
-void NodeAgent::retransmit_fire() {
-  {
-    std::lock_guard<std::mutex> lock(retrans_mutex_);
-    retrans_scheduled_ = false;
-    retrans_timer_ = 0;
-  }
-  if (shut_down_.load(std::memory_order_acquire)) return;
-  const std::vector<Retransmit> due = window_->take_due(steady_micros());
-  for (const Retransmit& r : due) {
-    retransmits_.increment();
-    (void)connection_->notify(proto::OpCode::kMpiBatch, r.wire);
-  }
-  std::lock_guard<std::mutex> lock(retrans_mutex_);
-  schedule_retransmit_locked();
+    proto::MpiBatch batch, std::map<std::uint64_t, std::size_t> frames_per_app) {
+  return batch_sender_.send({LinkKind::kSite, config_.site}, *connection_,
+                            std::move(batch), std::move(frames_per_app));
 }
 
 Status NodeAgent::fabric_multicast(std::uint64_t app_id,

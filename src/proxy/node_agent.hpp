@@ -29,10 +29,8 @@
 #include "mpi/runtime.hpp"
 #include "net/channel.hpp"
 #include "proxy/app_routing.hpp"
-#include "proxy/batch_window.hpp"
 #include "proxy/connection.hpp"
-#include "proxy/sender_window.hpp"
-#include "telemetry/metrics.hpp"
+#include "proxy/reliable_batch.hpp"
 #include "tls/gssl.hpp"
 
 namespace pg::proxy {
@@ -47,13 +45,9 @@ struct NodeAgentConfig {
   tls::GsslConfig gssl;
   const Clock* clock = nullptr;  // required when `encrypted`
   std::uint64_t rng_seed = 0;
-  /// Ack + retransmit for batches this node originates. Mirrors the proxy's
-  /// reliable data plane; the grid builder keeps the two sides in sync (a
-  /// tracking sender whose receiver never acks would retransmit forever).
-  bool reliable = true;
-  TimeMicros ack_rto_initial = 50 * 1000;
-  TimeMicros ack_rto_max = 2 * kMicrosPerSecond;
-  std::size_t inflight_max_bytes = 1024 * 1024;
+  /// Retransmission and congestion tuning for batches this node originates;
+  /// the grid builder copies it from the node's proxy.
+  SenderWindowConfig window;
 };
 
 /// A local service reachable from remote nodes through proxy tunnels.
@@ -99,8 +93,7 @@ class NodeAgent {
   void handle(const proto::Envelope& envelope, Connection& conn);
   void handle_mpi_open(const proto::Envelope& envelope, Connection& conn);
   void handle_mpi_start(const proto::Envelope& envelope);
-  void handle_mpi_data(const proto::Envelope& envelope);
-  void handle_mpi_batch(const proto::Envelope& envelope);
+  void handle_mpi_batch(const proto::Envelope& envelope, Connection& conn);
   void handle_mpi_batch_ack(const proto::Envelope& envelope);
   void handle_mpi_close(const proto::Envelope& envelope);
   void handle_tunnel_open(const proto::Envelope& envelope, Connection& conn);
@@ -112,14 +105,9 @@ class NodeAgent {
                           const std::vector<std::uint32_t>& dst_ranks);
   Status fabric_send_batch(std::uint64_t app_id,
                            const std::vector<mpi::MpiMessage>& messages);
-  /// This node's kMpiBatch sender identity ("<site>/<node>").
-  std::string batch_origin() const;
-  /// Serializes, tracks (when reliable) and notifies one originated batch.
-  Status send_batch(proto::MpiBatch&& batch,
+  /// Sends one originated batch up the proxy link, reliably.
+  Status send_batch(proto::MpiBatch batch,
                     std::map<std::uint64_t, std::size_t> frames_per_app);
-  void schedule_retransmit();
-  void schedule_retransmit_locked();
-  void retransmit_fire();
 
   NodeAgentConfig config_;
   /// Ticket cache for this agent's own dials: a re-created agent config can
@@ -127,21 +115,12 @@ class NodeAgent {
   /// the proxy issued so its next dial resumes without RSA work.
   tls::ResumptionStore resumption_store_;
   ConnectionPtr connection_;
-  std::atomic<bool> shut_down_{false};
 
-  /// Sequence numbers for batches this node originates, and the window of
-  /// batches already received (intra-site links can duplicate frames under
-  /// fault injection). With reliability on, originated seqs come from
-  /// window_ instead so the proxy sees a contiguous stream.
-  std::atomic<std::uint64_t> batch_seq_{1};
-  BatchDedupWindow batch_dedup_;
-  BatchAckTracker ack_tracker_;
-  std::unique_ptr<SenderWindow> window_;  // null when reliability is off
-  std::mutex retrans_mutex_;
-  std::uint64_t retrans_timer_ = 0;
-  bool retrans_scheduled_ = false;
-  telemetry::Counter& retransmits_;
-  telemetry::Histogram& ack_rtt_;
+  /// Batches this node originates (origin "<site>/<node>", one link: the
+  /// proxy) and batches the proxy pushes down (intra-site links can
+  /// duplicate frames under fault injection).
+  ReliableBatchSender batch_sender_;
+  ReliableBatchReceiver batch_receiver_;
 
   std::mutex apps_mutex_;
   std::map<std::uint64_t, std::unique_ptr<App>> apps_;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <functional>
 #include <thread>
-#include <tuple>
 
 #include "common/logging.hpp"
 #include "common/serde.hpp"
@@ -39,6 +38,16 @@ std::vector<std::string> shard_group(const ProxyConfig& config) {
     members.push_back(shard_name(logical, i));
   return members;
 }
+
+/// Sender-window tuning of a proxy's data links, from its config.
+SenderWindowConfig window_config(const ProxyConfig& config) {
+  SenderWindowConfig window;
+  window.rto_initial_micros =
+      static_cast<std::uint64_t>(config.mpi_ack_rto_initial);
+  window.rto_max_micros = static_cast<std::uint64_t>(config.mpi_ack_rto_max);
+  window.budget_max_bytes = config.mpi_inflight_max_bytes;
+  return window;
+}
 }  // namespace
 
 ProxyServer::ProxyServer(ProxyConfig config)
@@ -52,7 +61,16 @@ ProxyServer::ProxyServer(ProxyConfig config)
       next_app_id_(site_salt(config_.site) + 1),
       job_workers_(std::max<std::uint32_t>(1, config_.job_workers)),
       job_manager_(job_workers_, *config_.clock),
-      instruments_(config_.site) {
+      instruments_(config_.site),
+      batch_sender_(
+          config_.site, window_config(config_),
+          [this](const BatchLink& link) {
+            return link.kind == LinkKind::kSite ? peer_connection(link.name)
+                                                : node_connection(link.name);
+          },
+          BatchSenderInstruments{instruments_.mpi_retransmits,
+                                 instruments_.mpi_ack_rtt_micros,
+                                 &instruments_.mpi_inflight_bytes}) {
   if (config_.heartbeat_interval > 0) schedule_heartbeat();
   if (config_.shards > 1 && config_.shard_gossip_interval > 0)
     schedule_shard_gossip();
@@ -629,30 +647,11 @@ void ProxyServer::close_app_locally(std::uint64_t app_id) {
   }
   // Stop retrying the app's unacked frames: close only happens once the app
   // is globally done or aborted, so no rank anywhere still needs the data.
-  if (reliable_data_plane()) {
-    std::vector<std::shared_ptr<SenderWindow>> windows;
-    {
-      std::lock_guard<std::mutex> lock(windows_mutex_);
-      for (const auto& [name, window] : site_windows_)
-        windows.push_back(window);
-      for (const auto& [name, window] : node_windows_)
-        windows.push_back(window);
-    }
-    std::size_t frames = 0;
-    std::size_t bytes = 0;
-    for (const auto& window : windows) {
-      const SenderWindow::DropOutcome dropped = window->drop_app(app_id);
-      frames += dropped.frames;
-      bytes += dropped.bytes;
-    }
-    instruments_.frames_dropped(DropReason::kAppClosed, frames);
-    if (bytes > 0)
-      instruments_.mpi_inflight_bytes.add(-static_cast<std::int64_t>(bytes));
-  }
+  instruments_.frames_dropped(DropReason::kAppClosed,
+                              batch_sender_.drop_app(app_id));
   // Push out any frames still queued for peer sites: ranks elsewhere may be
   // blocked on data sent just before this site's share of the app ended.
-  if (config_.mpi_batch_flush_interval > 0)
-    flush_batches(FlushReason::kTeardown);
+  flush_batches(FlushReason::kTeardown);
 }
 
 void ProxyServer::site_finished(std::uint64_t app_id, const std::string& site,
@@ -682,17 +681,13 @@ void ProxyServer::fail_run(std::uint64_t app_id, const Status& reason) {
 void ProxyServer::handle_peer(const proto::Envelope& envelope,
                               Connection& conn) {
   instruments_.op_received(envelope.op).increment();
-  if (envelope.op == proto::OpCode::kMpiData) {
-    // Hot path: counters only — no span, no dispatch timer.
-    route_mpi_data(envelope);
-    return;
-  }
   if (envelope.op == proto::OpCode::kMpiBatch) {
-    handle_mpi_batch(envelope, conn);  // hot path too
+    // Hot path: counters only — no span, no dispatch timer.
+    handle_mpi_batch(envelope, conn);
     return;
   }
   if (envelope.op == proto::OpCode::kMpiBatchAck) {
-    handle_mpi_batch_ack(envelope, LinkKind::kSite, conn.peer_name());
+    handle_mpi_batch_ack(envelope, {LinkKind::kSite, conn.peer_name()});
     return;
   }
   if (envelope.op == proto::OpCode::kHeartbeat) {
@@ -787,17 +782,13 @@ void ProxyServer::handle_node(const std::string& node,
                               const proto::Envelope& envelope,
                               Connection& conn) {
   instruments_.op_received(envelope.op).increment();
-  if (envelope.op == proto::OpCode::kMpiData) {
-    // Hot path: counters only — no dispatch timer.
-    route_mpi_data(envelope);
-    return;
-  }
   if (envelope.op == proto::OpCode::kMpiBatch) {
-    handle_mpi_batch(envelope, conn);  // hot path too
+    // Hot path: counters only — no dispatch timer.
+    handle_mpi_batch(envelope, conn);
     return;
   }
   if (envelope.op == proto::OpCode::kMpiBatchAck) {
-    handle_mpi_batch_ack(envelope, LinkKind::kNode, node);
+    handle_mpi_batch_ack(envelope, {LinkKind::kNode, node});
     return;
   }
   if (envelope.op == proto::OpCode::kTraceExport) {
@@ -955,131 +946,26 @@ bool ProxyServer::resolve_rank_route(std::uint64_t app_id,
   return true;
 }
 
-void ProxyServer::route_mpi_data(const proto::Envelope& envelope) {
-  Result<proto::MpiData> data = proto::MpiData::parse(envelope.payload);
-  if (!data.is_ok()) {
-    PG_WARN << config_.site << ": dropping malformed MpiData";
-    return;
-  }
-
-  bool local = false;
-  std::string target;
-  Connection* conn = nullptr;
-  if (!resolve_rank_route(data.value().app_id, data.value().dst_rank, local,
-                          target, conn)) {
-    PG_WARN << config_.site << ": MpiData for unknown app "
-            << data.value().app_id << " / rank " << data.value().dst_rank;
-    return;
-  }
-
-  if (local) {
-    if (conn != nullptr) {
-      (void)conn->notify(proto::OpCode::kMpiData, envelope.payload);
-      instruments_.mpi_messages_local.increment();
-      instruments_.mpi_bytes_local.increment(data.value().payload.size());
-      instruments_.mpi_message_bytes_local.observe(
-          static_cast<double>(data.value().payload.size()));
-    }
-    return;
-  }
-
-  if (config_.mpi_batch_flush_interval > 0) {
-    // Remote singles go through the per-site batcher: an idle link flushes
-    // the frame immediately; under bursts, same-site frames coalesce into
-    // one sealed record. The original payload rides along so a lone frame
-    // still leaves as plain kMpiData with zero re-serialization.
-    proto::MpiFrame frame;
-    frame.app_id = data.value().app_id;
-    frame.src_rank = data.value().src_rank;
-    frame.tag = data.value().tag;
-    frame.dst_ranks = {data.value().dst_rank};
-    frame.payload = std::move(data.value().payload);
-    enqueue_remote_frame(target, std::move(frame),
-                         Bytes(envelope.payload.begin(),
-                               envelope.payload.end()));
-    return;
-  }
-  if (conn != nullptr) {
-    (void)conn->notify(proto::OpCode::kMpiData, envelope.payload);
-    instruments_.mpi_messages_remote.increment();
-    instruments_.mpi_bytes_remote.increment(data.value().payload.size());
-    instruments_.mpi_message_bytes_remote.observe(
-        static_cast<double>(data.value().payload.size()));
-  } else {
-    PG_WARN << config_.site << ": no route to site " << target;
-  }
-}
-
 void ProxyServer::handle_mpi_batch(const proto::Envelope& envelope,
                                    Connection& conn) {
-  Result<proto::MpiBatch> batch = proto::MpiBatch::parse(envelope.payload);
-  if (!batch.is_ok()) {
-    PG_WARN << config_.site << ": dropping malformed MpiBatch";
-    return;
-  }
-  if (batch_dedup_.seen_before(batch.value().origin, batch.value().seq)) {
+  const BatchReceipt receipt = batch_receiver_.receive(
+      envelope.payload, conn, [this](proto::MpiBatch& batch) {
+        for (proto::MpiFrame& frame : batch.frames)
+          route_mpi_frame(std::move(frame));
+      });
+  if (receipt == BatchReceipt::kDuplicate) {
     instruments_.mpi_batch_duplicates.increment();
-  } else {
-    for (proto::MpiFrame& frame : batch.value().frames) {
-      route_mpi_frame(std::move(frame));
-    }
-  }
-  if (reliable_data_plane()) {
-    // Ack after delivery — duplicates included: a duplicate means the
-    // original's ack was lost (or still in flight), and re-acking is what
-    // stops the sender's retransmit loop. record() is idempotent per seq.
-    const AckCoverage cov =
-        ack_tracker_.record(batch.value().origin, batch.value().seq);
-    proto::MpiBatchAck ack;
-    ack.origin = batch.value().origin;
-    ack.cumulative = cov.cumulative;
-    ack.selective = cov.selective;
-    (void)conn.notify(proto::OpCode::kMpiBatchAck, ack.serialize());
+  } else if (receipt == BatchReceipt::kMalformed) {
+    PG_WARN << config_.site << ": dropping malformed MpiBatch";
   }
 }
 
 void ProxyServer::handle_mpi_batch_ack(const proto::Envelope& envelope,
-                                       LinkKind kind,
-                                       const std::string& link) {
-  Result<proto::MpiBatchAck> ack = proto::MpiBatchAck::parse(envelope.payload);
-  if (!ack.is_ok()) return;
-  // Only acks for this proxy's own stream move a window; anything else (a
-  // crafted or replayed origin the receiver dutifully acked) is noise.
-  if (ack.value().origin != config_.site) return;
-  const std::shared_ptr<SenderWindow> window = find_window(kind, link);
-  if (window == nullptr) return;
-  const AckOutcome out = window->on_ack(
-      ack.value().cumulative, ack.value().selective, steady_micros());
-  if (out.released == 0) return;
-  instruments_.mpi_inflight_bytes.add(
-      -static_cast<std::int64_t>(out.released_bytes));
-  for (const std::uint64_t rtt : out.rtt_samples)
-    instruments_.mpi_ack_rtt_micros.observe(static_cast<double>(rtt));
+                                       const BatchLink& link) {
   // Released window space may unblock a queue deferred by congestion.
-  if (kind == LinkKind::kSite) drain_if_window_open(link);
-}
-
-std::shared_ptr<SenderWindow> ProxyServer::link_window(
-    LinkKind kind, const std::string& name) {
-  std::lock_guard<std::mutex> lock(windows_mutex_);
-  auto& window =
-      (kind == LinkKind::kSite ? site_windows_ : node_windows_)[name];
-  if (window == nullptr) {
-    SenderWindowConfig wc;
-    wc.rto_initial_micros = config_.mpi_ack_rto_initial;
-    wc.rto_max_micros = config_.mpi_ack_rto_max;
-    wc.budget_max_bytes = config_.mpi_inflight_max_bytes;
-    window = std::make_shared<SenderWindow>(wc);
-  }
-  return window;
-}
-
-std::shared_ptr<SenderWindow> ProxyServer::find_window(
-    LinkKind kind, const std::string& name) const {
-  std::lock_guard<std::mutex> lock(windows_mutex_);
-  const auto& map = kind == LinkKind::kSite ? site_windows_ : node_windows_;
-  const auto it = map.find(name);
-  return it == map.end() ? nullptr : it->second;
+  if (batch_sender_.on_ack(link, envelope.payload) > 0 &&
+      link.kind == LinkKind::kSite)
+    drain_if_window_open(link.name);
 }
 
 void ProxyServer::route_mpi_frame(proto::MpiFrame frame) {
@@ -1112,16 +998,7 @@ void ProxyServer::route_mpi_frame(proto::MpiFrame frame) {
       PG_WARN << config_.site << ": no link to node " << node;
       continue;
     }
-    // Reliable links draw their seq from the link's own sender window so the
-    // node observes a contiguous per-origin stream (cumulative acks work);
-    // the shared batch_seq_ counter remains for unreliable operation only.
-    const std::shared_ptr<SenderWindow> window =
-        reliable_data_plane() ? link_window(LinkKind::kNode, node) : nullptr;
     proto::MpiBatch out;
-    out.origin = config_.site;
-    out.seq = window != nullptr
-                  ? window->next_seq()
-                  : batch_seq_.fetch_add(1, std::memory_order_relaxed);
     proto::MpiFrame fanned;
     fanned.app_id = frame.app_id;
     fanned.src_rank = frame.src_rank;
@@ -1130,15 +1007,8 @@ void ProxyServer::route_mpi_frame(proto::MpiFrame frame) {
     fanned.payload = frame.payload;
     instruments_.mpi_fanout.increment(fanned.dst_ranks.size());
     out.frames.push_back(std::move(fanned));
-    const Bytes wire = out.serialize();
-    if (window != nullptr) {
-      // Track before sending: the ack may race back on another thread.
-      window->track(out.seq, wire, {{frame.app_id, 1}}, steady_micros());
-      instruments_.mpi_inflight_bytes.add(
-          static_cast<std::int64_t>(wire.size()));
-      schedule_retransmit();
-    }
-    (void)conn->notify(proto::OpCode::kMpiBatch, wire);
+    (void)batch_sender_.send({LinkKind::kNode, node}, *conn, std::move(out),
+                             {{frame.app_id, 1}});
     instruments_.mpi_messages_local.increment();
     instruments_.mpi_bytes_local.increment(frame.payload.size());
     instruments_.mpi_message_bytes_local.observe(
@@ -1153,17 +1023,17 @@ void ProxyServer::route_mpi_frame(proto::MpiFrame frame) {
     forward.dst_ranks = std::move(dsts);
     forward.payload = frame.payload;
     instruments_.mpi_fanout.increment(forward.dst_ranks.size());
-    enqueue_remote_frame(site, std::move(forward), {});
+    enqueue_remote_frame(site, std::move(forward));
   }
 }
 
 void ProxyServer::enqueue_remote_frame(const std::string& site,
-                                       proto::MpiFrame frame, Bytes raw) {
+                                       proto::MpiFrame frame) {
   instruments_.mpi_batch_messages.increment();
   std::unique_lock<std::mutex> lock(batch_mutex_);
   SiteBatch& batch = batches_[site];
   batch.bytes += frame.payload.size();
-  QueuedFrame queued{std::move(frame), std::move(raw)};
+  QueuedFrame queued{std::move(frame)};
   // Lane split: small frames (barriers, acks, control-sized payloads) jump
   // ahead of bulk transfers so a 16 MiB send can't head-of-line-block them.
   queued.latency = queued.frame.payload.size() <= config_.mpi_latency_lane_bytes;
@@ -1177,10 +1047,10 @@ void ProxyServer::enqueue_remote_frame(const std::string& site,
 void ProxyServer::drain_site_locked(std::unique_lock<std::mutex>& lock,
                                     const std::string& site,
                                     FlushReason trigger) {
-  // Lock order: batch_mutex_ is held; link_window takes windows_mutex_ —
+  // Lock order: batch_mutex_ is held; window() takes the sender's lock —
   // that nesting is the sanctioned direction (never the reverse).
-  const std::shared_ptr<SenderWindow> window =
-      reliable_data_plane() ? link_window(LinkKind::kSite, site) : nullptr;
+  const BatchLink link{LinkKind::kSite, site};
+  const std::shared_ptr<SenderWindow> window = batch_sender_.window(link);
   bool first = true;
   for (;;) {
     SiteBatch& batch = batches_[site];
@@ -1190,7 +1060,7 @@ void ProxyServer::drain_site_locked(std::unique_lock<std::mutex>& lock,
       return;
     }
 
-    if (window != nullptr && !window->can_send(1)) {
+    if (!window->can_send(1)) {
       // Congestion: the link's in-flight bytes exceed its AIMD budget.
       // Park the queue; an ack (drain_if_window_open) or the interval
       // flusher resumes it.
@@ -1204,9 +1074,7 @@ void ProxyServer::drain_site_locked(std::unique_lock<std::mutex>& lock,
     // first so barriers and small sends overtake queued bulk data. The byte
     // budget shrinks to the congestion window's current chunk size.
     const std::size_t max_bytes =
-        window != nullptr
-            ? std::min(config_.mpi_batch_max_bytes, window->budget_bytes())
-            : config_.mpi_batch_max_bytes;
+        std::min(config_.mpi_batch_max_bytes, window->budget_bytes());
     std::vector<QueuedFrame> chunk;
     std::size_t chunk_bytes = 0;
     std::size_t latency_frames = 0;
@@ -1241,7 +1109,7 @@ void ProxyServer::drain_site_locked(std::unique_lock<std::mutex>& lock,
     if (conn == nullptr || !conn->alive()) {
       lock.lock();
       if (trigger == FlushReason::kTeardown) {
-        // Match the unbatched path: a send to a dead site vanishes.
+        // Nobody will retry after teardown: a send to a dead site vanishes.
         instruments_.frames_dropped(DropReason::kLinkDown, chunk.size());
         continue;
       }
@@ -1260,33 +1128,14 @@ void ProxyServer::drain_site_locked(std::unique_lock<std::mutex>& lock,
       return;
     }
 
-    if (window == nullptr && chunk.size() == 1 && !chunk[0].raw.empty()) {
-      // Lone plain data message: forward the original kMpiData payload.
-      // Only when reliability is off — tracked sends must be kMpiBatch so
-      // the receiver acks them by (origin, seq).
-      (void)conn->notify(proto::OpCode::kMpiData, chunk[0].raw);
-    } else {
-      proto::MpiBatch out;
-      out.origin = config_.site;
-      out.seq = window != nullptr
-                    ? window->next_seq()
-                    : batch_seq_.fetch_add(1, std::memory_order_relaxed);
-      out.frames.reserve(chunk.size());
-      std::map<std::uint64_t, std::size_t> per_app;
-      for (QueuedFrame& queued : chunk) {
-        ++per_app[queued.frame.app_id];
-        out.frames.push_back(std::move(queued.frame));
-      }
-      const Bytes wire = out.serialize();
-      if (window != nullptr) {
-        // Track before sending: the ack may race back on another thread.
-        window->track(out.seq, wire, std::move(per_app), steady_micros());
-        instruments_.mpi_inflight_bytes.add(
-            static_cast<std::int64_t>(wire.size()));
-        schedule_retransmit();
-      }
-      (void)conn->notify(proto::OpCode::kMpiBatch, wire);
+    proto::MpiBatch out;
+    out.frames.reserve(chunk.size());
+    std::map<std::uint64_t, std::size_t> per_app;
+    for (QueuedFrame& queued : chunk) {
+      ++per_app[queued.frame.app_id];
+      out.frames.push_back(std::move(queued.frame));
     }
+    (void)batch_sender_.send(link, *conn, std::move(out), std::move(per_app));
     instruments_.mpi_messages_remote.increment();
     instruments_.mpi_bytes_remote.increment(chunk_bytes);
     instruments_.mpi_message_bytes_remote.observe(
@@ -1308,7 +1157,7 @@ void ProxyServer::flush_batches(FlushReason reason) {
 }
 
 void ProxyServer::schedule_flusher_locked() {
-  if (flusher_scheduled_ || config_.mpi_batch_flush_interval <= 0) return;
+  if (flusher_scheduled_) return;
   if (shut_down_.load(std::memory_order_acquire)) return;
   const TimeMicros now = steady_micros();
   TimeMicros next = 0;
@@ -1355,65 +1204,6 @@ void ProxyServer::drain_if_window_open(const std::string& site) {
   it->second.flushing = true;
   it->second.deadline = 0;
   drain_site_locked(lock, site, FlushReason::kWindow);
-}
-
-void ProxyServer::schedule_retransmit() {
-  std::lock_guard<std::mutex> lock(windows_mutex_);
-  schedule_retransmit_locked();
-}
-
-void ProxyServer::schedule_retransmit_locked() {
-  if (retrans_scheduled_ || !reliable_data_plane()) return;
-  if (shut_down_.load(std::memory_order_acquire)) return;
-  TimeMicros next = 0;
-  const auto consider = [&next](const auto& windows) {
-    for (const auto& [name, window] : windows) {
-      const std::uint64_t deadline = window->next_deadline();
-      if (deadline != 0 && (next == 0 || deadline < next)) next = deadline;
-    }
-  };
-  consider(site_windows_);
-  consider(node_windows_);
-  if (next == 0) return;  // nothing in flight, no timer needed
-  const TimeMicros now = steady_micros();
-  retrans_scheduled_ = true;
-  retrans_timer_ = net::Reactor::global().schedule_timer(
-      next > now ? next - now : TimeMicros{1}, [this] { retransmit_fire(); });
-}
-
-void ProxyServer::retransmit_fire() {
-  std::vector<std::tuple<LinkKind, std::string, std::shared_ptr<SenderWindow>>>
-      windows;
-  {
-    std::lock_guard<std::mutex> lock(windows_mutex_);
-    retrans_scheduled_ = false;
-    retrans_timer_ = 0;
-    if (shut_down_.load(std::memory_order_acquire)) return;
-    for (const auto& [name, window] : site_windows_)
-      windows.emplace_back(LinkKind::kSite, name, window);
-    for (const auto& [name, window] : node_windows_)
-      windows.emplace_back(LinkKind::kNode, name, window);
-  }
-  const TimeMicros now = steady_micros();
-  for (const auto& [kind, name, window] : windows) {
-    const std::vector<Retransmit> due = window->take_due(now);
-    if (due.empty()) continue;
-    // Re-resolve the connection at fire time so a retransmission after an
-    // auto-reconnect lands on the fresh link. A dead link keeps the entries
-    // armed; backoff paces the retries until the link revives or the app
-    // closes.
-    Connection* conn = kind == LinkKind::kSite ? peer_connection(name)
-                                               : node_connection(name);
-    if (conn == nullptr || !conn->alive()) continue;
-    for (const Retransmit& r : due) {
-      // Deliberately not counted in mpi_messages_*: retransmissions are a
-      // reliability artifact, not new routed traffic.
-      instruments_.mpi_retransmits.increment();
-      (void)conn->notify(proto::OpCode::kMpiBatch, r.wire);
-    }
-  }
-  std::lock_guard<std::mutex> lock(windows_mutex_);
-  schedule_retransmit_locked();
 }
 
 void ProxyServer::handle_mpi_done_from_node(const proto::Envelope& envelope) {
@@ -2156,8 +1946,7 @@ void ProxyServer::shutdown() {
   if (gossip_timer != 0) net::Reactor::global().cancel_timer(gossip_timer);
 
   // Cancel the batch retry timer, then push out whatever is still queued
-  // while the links are up (frames for dead sites are dropped, as an
-  // unbatched send to a dead site would have been).
+  // while the links are up (frames for dead sites are dropped).
   std::uint64_t flush_timer = 0;
   {
     std::lock_guard<std::mutex> lock(batch_mutex_);
@@ -2168,15 +1957,8 @@ void ProxyServer::shutdown() {
   if (flush_timer != 0) net::Reactor::global().cancel_timer(flush_timer);
 
   // Likewise the retransmission timer: whatever is still unacked dies with
-  // the proxy — retransmit_fire sees shut_down_ and will not re-arm.
-  std::uint64_t rt_timer = 0;
-  {
-    std::lock_guard<std::mutex> lock(windows_mutex_);
-    rt_timer = retrans_timer_;
-    retrans_timer_ = 0;
-    retrans_scheduled_ = false;
-  }
-  if (rt_timer != 0) net::Reactor::global().cancel_timer(rt_timer);
+  // the proxy.
+  batch_sender_.shutdown();
   flush_batches(FlushReason::kTeardown);
 
   // Snapshot under the lock but close outside it: close() quiesces the

@@ -33,11 +33,10 @@
 #include "monitor/status_lease.hpp"
 #include "net/channel.hpp"
 #include "proxy/app_routing.hpp"
-#include "proxy/batch_window.hpp"
 #include "proxy/connection.hpp"
-#include "proxy/sender_window.hpp"
 #include "proxy/job_manager.hpp"
 #include "proxy/metrics.hpp"
+#include "proxy/reliable_batch.hpp"
 #include "proxy/resilience.hpp"
 #include "proxy/shard_ring.hpp"
 #include "sched/scheduler.hpp"
@@ -90,10 +89,9 @@ struct ProxyConfig {
   std::uint32_t job_workers = 4;
 
   // ---- MPI data-plane batching (docs/PERFORMANCE.md, "MPI data plane") ----
-  /// Retry period for batch frames parked on a dead inter-site link, and
-  /// the flusher thread's poll bound. 0 disables batching entirely: every
-  /// remote frame goes out by itself, as before protocol v3. Batching adds
-  /// no latency on an idle link (a lone enqueue drains itself immediately);
+  /// Retry period for batch frames parked on a dead inter-site link or
+  /// behind a full congestion window; must be positive. Batching adds no
+  /// latency on an idle link (a lone enqueue drains itself immediately);
   /// coalescing only happens when sends genuinely pile up.
   TimeMicros mpi_batch_flush_interval = 2000;
   /// Payload-byte budget per flushed kMpiBatch envelope.
@@ -102,11 +100,8 @@ struct ProxyConfig {
   std::size_t mpi_batch_max_frames = 64;
 
   // ---- reliable data plane (docs/RESILIENCE.md, "at-least-once") ----
-  /// Ack + RTO retransmission for kMpiBatch deliveries (protocol v4).
-  /// Requires batching (mpi_batch_flush_interval > 0); with either off,
-  /// data frames are fire-and-forget as before v4 and a drop is recovered
-  /// only by the job timeout.
-  bool mpi_reliable = true;
+  /// Every kMpiBatch is retransmitted until acked; this proxy's node
+  /// agents use the same tuning (see sender_window_config()).
   /// Retransmission timeout before any RTT sample exists; once acks flow,
   /// the live RTO is srtt + 4*rttvar, clamped to
   /// [mpi_ack_rto_initial / 4, mpi_ack_rto_max].
@@ -154,6 +149,10 @@ class ProxyServer {
   const std::string& site() const { return config_.site; }
   SecurityMode mode() const { return config_.mode; }
   const Clock& clock() const { return *config_.clock; }
+  /// Sender-window tuning of this proxy's data links.
+  const SenderWindowConfig& sender_window_config() const {
+    return batch_sender_.window_config();
+  }
 
   // ---- site composition -------------------------------------------------
   /// Registers a node's stats source with the site collector.
@@ -336,12 +335,6 @@ class ProxyServer {
   /// One queued data frame bound for a peer site.
   struct QueuedFrame {
     proto::MpiFrame frame;
-    /// Original kMpiData envelope payload when the frame wraps exactly one
-    /// plain data message; a single-frame flush then goes out as kMpiData
-    /// with no re-serialization (the zero-copy path for serial traffic,
-    /// available only with the reliable plane off — an ackable send must
-    /// carry a (origin, seq)).
-    Bytes raw;
     /// True when the payload fits config_.mpi_latency_lane_bytes.
     bool latency = false;
   };
@@ -364,9 +357,6 @@ class ProxyServer {
     bool empty() const { return latency.empty() && bulk.empty(); }
   };
 
-  /// Which class of link a kMpiBatch sender window serves.
-  enum class LinkKind : std::uint8_t { kSite, kNode };
-
   // -- handlers (reader threads)
   void handle_peer(const proto::Envelope& envelope, Connection& conn);
   void handle_node(const std::string& node, const proto::Envelope& envelope,
@@ -381,12 +371,11 @@ class ProxyServer {
   void handle_mpi_start(const proto::Envelope& envelope);
   void handle_mpi_close(const proto::Envelope& envelope);
   void handle_mpi_abort_from_peer(const proto::Envelope& envelope);
-  void route_mpi_data(const proto::Envelope& envelope);
   void handle_mpi_batch(const proto::Envelope& envelope, Connection& conn);
-  /// Applies a kMpiBatchAck that arrived on the named link to that link's
-  /// sender window; released window space re-drains a deferred site queue.
-  void handle_mpi_batch_ack(const proto::Envelope& envelope, LinkKind kind,
-                            const std::string& link);
+  /// Applies a kMpiBatchAck that arrived on `link` to its sender window;
+  /// released window space re-drains a deferred site queue.
+  void handle_mpi_batch_ack(const proto::Envelope& envelope,
+                            const BatchLink& link);
   void handle_mpi_done_from_node(const proto::Envelope& envelope);
   void handle_mpi_done_from_peer(const proto::Envelope& envelope);
   void handle_tunnel_from_node(const std::string& node,
@@ -426,11 +415,8 @@ class ProxyServer {
   /// peer site.
   void route_mpi_frame(proto::MpiFrame frame);
   /// Queues a frame for `site` and drains the queue unless another thread
-  /// already is. `raw` optionally carries the frame's original kMpiData
-  /// payload (see QueuedFrame). With batching disabled the frame is sent
-  /// straight away.
-  void enqueue_remote_frame(const std::string& site, proto::MpiFrame frame,
-                            Bytes raw);
+  /// already is.
+  void enqueue_remote_frame(const std::string& site, proto::MpiFrame frame);
   /// Drains batches_[site] to the peer link; call with `lock` held and the
   /// site's `flushing` flag owned. Unlocks around every network send.
   void drain_site_locked(std::unique_lock<std::mutex>& lock,
@@ -445,25 +431,6 @@ class ProxyServer {
   /// re-arms for whatever is still parked.
   void flusher_fire();
 
-  // -- reliable data plane (ack + retransmit)
-  /// True when kMpiBatch sends are tracked, acked and retransmitted.
-  bool reliable_data_plane() const {
-    return config_.mpi_reliable && config_.mpi_batch_flush_interval > 0;
-  }
-  /// The sender window for one outgoing link, created on first use.
-  std::shared_ptr<SenderWindow> link_window(LinkKind kind,
-                                            const std::string& name);
-  /// The link's window if it exists; null otherwise (never creates).
-  std::shared_ptr<SenderWindow> find_window(LinkKind kind,
-                                            const std::string& name) const;
-  /// Arms the one-shot RTO timer for the earliest in-flight deadline. Call
-  /// with windows_mutex_ held; no-op when armed, idle, or shutting down.
-  void schedule_retransmit_locked();
-  /// Convenience wrapper taking windows_mutex_ itself.
-  void schedule_retransmit();
-  /// Reactor-timer callback: resends every in-flight batch whose RTO
-  /// passed (links re-resolved now, picking up auto-reconnects), re-arms.
-  void retransmit_fire();
   /// Drains `site`'s queue if frames were deferred waiting on congestion-
   /// window space (called when an ack frees some).
   void drain_if_window_open(const std::string& site);
@@ -570,21 +537,12 @@ class ProxyServer {
   std::map<std::string, SiteBatch> batches_;
   std::uint64_t flusher_timer_ = 0;   // guarded by batch_mutex_
   bool flusher_scheduled_ = false;    // guarded by batch_mutex_
-  /// Seq source for UNRELIABLE batches only. Reliable links draw from
-  /// their own window's counter, so every receiver observes a contiguous
-  /// per-origin stream — what makes cumulative acks meaningful.
-  std::atomic<std::uint64_t> batch_seq_{1};
-  BatchDedupWindow batch_dedup_;
-  BatchAckTracker ack_tracker_;
 
-  // Sender windows for the reliable data plane, one per outgoing link the
-  // proxy pushes kMpiBatch down (peer sites and this site's nodes). Lock
-  // order: batch_mutex_ before windows_mutex_, never the reverse.
-  mutable std::mutex windows_mutex_;
-  std::map<std::string, std::shared_ptr<SenderWindow>> site_windows_;
-  std::map<std::string, std::shared_ptr<SenderWindow>> node_windows_;
-  std::uint64_t retrans_timer_ = 0;   // guarded by windows_mutex_
-  bool retrans_scheduled_ = false;    // guarded by windows_mutex_
+  // Reliable kMpiBatch streams: one sender window per outgoing link (peer
+  // sites and this site's nodes), and dedup + acks for arriving batches.
+  // Lock order: batch_mutex_ before the sender's lock, never the reverse.
+  ReliableBatchSender batch_sender_;
+  ReliableBatchReceiver batch_receiver_;
 
   // Next hop toward each foreign trace's origin, learned from the peer an
   // envelope carrying that trace arrived on (bounded FIFO).

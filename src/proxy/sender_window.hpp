@@ -26,15 +26,16 @@
 
 namespace pg::proxy {
 
-/// Tuning for one link's reliability state; values come from ProxyConfig.
+/// Tuning for one link's reliability state; a proxy derives it from its
+/// ProxyConfig and the proxy's node agents mirror the proxy's values.
 struct SenderWindowConfig {
   std::uint64_t rto_initial_micros = 50'000;
   std::uint64_t rto_max_micros = 2'000'000;
-  /// AIMD flush-budget bounds. `budget_max_bytes` is the link's configured
-  /// mpi_batch_max_bytes; the budget never shrinks below the floor so a
+  /// AIMD flush-budget bounds. `budget_max_bytes` is the proxy's configured
+  /// mpi_inflight_max_bytes; the budget never shrinks below the floor so a
   /// lossy link still makes progress one small chunk at a time.
   std::size_t budget_floor_bytes = 4096;
-  std::size_t budget_max_bytes = 256 * 1024;
+  std::size_t budget_max_bytes = 1024 * 1024;
 };
 
 /// A batch due for retransmission: resend `wire` verbatim (same seq, so the
@@ -59,8 +60,13 @@ class SenderWindow {
       : config_(config), budget_(config.budget_max_bytes) {}
 
   /// Next batch seq for this link, starting at 1 (the ack tracker's
-  /// cumulative point starts at 0 == "nothing received").
-  std::uint64_t next_seq() { return ++last_seq_; }
+  /// cumulative point starts at 0 == "nothing received"). Safe to call from
+  /// many threads: two batches sharing a seq would be deduplicated into one
+  /// delivery at the receiver.
+  std::uint64_t next_seq() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return ++last_seq_;
+  }
 
   /// Tracks a transmitted batch. `frames_per_app` maps app_id -> frame
   /// count, for accounting when apps close under the batch.

@@ -28,7 +28,7 @@ constexpr std::uint32_t kMaxDispatchAttempts = 4;
 /// plus the GSSL record header and MAC.
 std::size_t envelope_overhead_bytes() {
   proto::Envelope env;
-  env.op = proto::OpCode::kMpiData;
+  env.op = proto::OpCode::kMpiBatch;
   env.request_id = 1;
   return env.serialize().size() + tls::internal::kRecordHeaderSize +
          tls::internal::kMacSize;
@@ -455,9 +455,9 @@ double Engine::record_quality(const Job& job,
 void Engine::account_mpi_traffic(const Job& job, TimeMicros& net_time_out) {
   // Group rank->rank messages by (src site, dst site). Intra-site frames
   // ride the LAN without inter-proxy envelopes; inter-site frames are
-  // priced both naive (one envelope per message) and batched (the v3
+  // priced both naive (one envelope per message) and batched (the
   // kMpiBatch flush window), which is where the savings stat comes from.
-  // On top of that rides the v4 reliable-delivery model: envelopes are
+  // On top of that rides the reliable-delivery model: envelopes are
   // dropped with data_plane.drop_rate and retransmitted on an
   // exponentially backed-off RTO, and small payloads are carved onto the
   // latency lane so they don't queue behind bulk transfers.

@@ -22,28 +22,29 @@ TEST(Envelope, RoundTrip) {
   EXPECT_EQ(to_string(back.value().payload), "payload");
 }
 
-TEST(Envelope, RejectsBadVersion) {
+/// A serialized ping envelope whose version byte is `version`.
+Bytes ping_with_version(std::uint8_t version) {
   Envelope env;
-  env.version = 9;
   env.op = OpCode::kPing;
-  const auto back = Envelope::deserialize(env.serialize());
+  Bytes wire = env.serialize();
+  wire[0] = version;
+  return wire;
+}
+
+TEST(Envelope, RejectsBadVersion) {
+  const auto back = Envelope::deserialize(ping_with_version(9));
   EXPECT_EQ(back.status().code(), ErrorCode::kProtocolError);
 }
 
-TEST(Envelope, AcceptsPreviousProtocolVersion) {
-  // v3 introduced kMpiBatch; a v2 peer's envelopes must still parse.
-  Envelope env;
-  env.version = kMinProtocolVersion;
-  env.op = OpCode::kPing;
-  const auto back = Envelope::deserialize(env.serialize());
-  ASSERT_TRUE(back.is_ok());
-  EXPECT_EQ(back.value().version, kMinProtocolVersion);
-
-  Envelope below;
-  below.version = kMinProtocolVersion - 1;
-  below.op = OpCode::kPing;
-  EXPECT_EQ(Envelope::deserialize(below.serialize()).status().code(),
-            ErrorCode::kProtocolError);
+TEST(Envelope, AcceptsOnlyCurrentProtocolVersion) {
+  ASSERT_EQ(kProtocolVersion, 5);
+  EXPECT_TRUE(Envelope::deserialize(ping_with_version(5)).is_ok());
+  // Neither the previous version nor the next one parses.
+  for (const std::uint8_t version : {std::uint8_t{4}, std::uint8_t{6}}) {
+    EXPECT_EQ(Envelope::deserialize(ping_with_version(version)).status().code(),
+              ErrorCode::kProtocolError)
+        << "version " << int{version};
+  }
 }
 
 TEST(Envelope, RejectsTruncation) {
@@ -61,7 +62,7 @@ TEST(Envelope, OpcodeNamesCover) {
                     OpCode::kStatusQuery, OpCode::kStatusReport,
                     OpCode::kJobSubmit, OpCode::kJobAccept,
                     OpCode::kJobComplete, OpCode::kMpiOpen,
-                    OpCode::kMpiOpenAck, OpCode::kMpiData, OpCode::kMpiClose,
+                    OpCode::kMpiOpenAck, OpCode::kMpiBatch, OpCode::kMpiClose,
                     OpCode::kTunnelOpen, OpCode::kTunnelData,
                     OpCode::kTunnelClose, OpCode::kError}) {
     EXPECT_STRNE(opcode_name(op), "unknown");
@@ -213,19 +214,6 @@ TEST(Messages, MpiOpenRoundTrip) {
   EXPECT_EQ(back.value().executable, "cpi");
 }
 
-TEST(Messages, MpiDataRoundTrip) {
-  MpiData m;
-  m.app_id = 5;
-  m.src_rank = 0;
-  m.dst_rank = 3;
-  m.tag = 42;
-  m.payload = Bytes(1000, 0xcd);
-  const auto back = MpiData::parse(m.serialize());
-  ASSERT_TRUE(back.is_ok());
-  EXPECT_EQ(back.value().payload, m.payload);
-  EXPECT_EQ(back.value().dst_rank, 3u);
-}
-
 TEST(Messages, MpiBatchRoundTrip) {
   MpiBatch batch;
   batch.origin = "siteA";
@@ -315,7 +303,6 @@ TEST(Messages, FuzzDecodeSafety) {
     (void)JobComplete::parse(junk);
     (void)MpiOpen::parse(junk);
     (void)MpiOpenAck::parse(junk);
-    (void)MpiData::parse(junk);
     (void)MpiBatch::parse(junk);
     (void)MpiBatchAck::parse(junk);
     (void)MpiClose::parse(junk);
@@ -398,7 +385,7 @@ TEST(Dispatcher, DuplicateRegistrationFails) {
 TEST(Dispatcher, UnknownOpFails) {
   Dispatcher d;
   Envelope env;
-  env.op = OpCode::kMpiData;
+  env.op = OpCode::kMpiBatch;
   EXPECT_EQ(d.dispatch(env).code(), ErrorCode::kNotFound);
 }
 

@@ -1,12 +1,17 @@
 // Unit tests for the proxy building blocks: Connection (request/response
-// correlation) and AppRouting (virtual-slave tables).
+// correlation), the reliable kMpiBatch stream (ReliableBatchSender and
+// ReliableBatchReceiver over a live connection) and AppRouting
+// (virtual-slave tables).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <thread>
 
 #include "net/memory_channel.hpp"
 #include "proxy/app_routing.hpp"
 #include "proxy/connection.hpp"
+#include "proxy/reliable_batch.hpp"
 #include "tls/link.hpp"
 
 namespace pg::proxy {
@@ -77,8 +82,8 @@ TEST(Connection, ConcurrentCallsCorrelateCorrectly) {
   for (int t = 0; t < 8; ++t) {
     callers.emplace_back([&pair, t] {
       for (int i = 0; i < 20; ++i) {
-        const std::string payload =
-            "t" + std::to_string(t) + "-i" + std::to_string(i);
+        std::string payload = "t";
+        payload += std::to_string(t) + "-i" + std::to_string(i);
         Result<proto::Envelope> response =
             pair.a->call(proto::OpCode::kPing, to_bytes(payload));
         ASSERT_TRUE(response.is_ok());
@@ -115,10 +120,10 @@ TEST(Connection, NotifyReachesHandler) {
   ConnPair pair = make_conn_pair(
       null_handler(),
       [&received](const proto::Envelope& env, Connection&) {
-        if (env.op == proto::OpCode::kMpiData) ++received;
+        if (env.op == proto::OpCode::kMpiBatch) ++received;
       });
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(pair.a->notify(proto::OpCode::kMpiData, to_bytes("x")).is_ok());
+    ASSERT_TRUE(pair.a->notify(proto::OpCode::kMpiBatch, to_bytes("x")).is_ok());
   }
   // Notifications are async; poll briefly.
   for (int i = 0; i < 100 && received.load() < 10; ++i) {
@@ -161,6 +166,80 @@ TEST(Connection, MalformedEnvelopeIsDroppedNotFatal) {
   // The link is owned by the connection, so craft another message after.
   Result<proto::Envelope> before = pair.a->call(proto::OpCode::kPing, {});
   ASSERT_TRUE(before.is_ok());
+}
+
+/// Polls `done` for up to two seconds.
+bool eventually(const std::function<bool()>& done) {
+  for (int i = 0; i < 2000 && !done(); ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  return done();
+}
+
+proto::MpiBatch one_frame_batch(std::uint64_t app_id) {
+  proto::MpiBatch batch;
+  proto::MpiFrame frame;
+  frame.app_id = app_id;
+  frame.dst_ranks = {1};
+  frame.payload = to_bytes("data");
+  batch.frames.push_back(std::move(frame));
+  return batch;
+}
+
+TEST(ReliableBatch, ReceiverDeliversOnceAndAcksEveryCopy) {
+  ReliableBatchReceiver receiver;
+  std::atomic<int> delivered{0};
+  std::atomic<int> acks{0};
+  std::atomic<std::uint64_t> cumulative{0};
+  ConnPair pair = make_conn_pair(
+      [&](const proto::Envelope& env, Connection&) {
+        Result<proto::MpiBatchAck> ack = proto::MpiBatchAck::parse(env.payload);
+        if (env.op != proto::OpCode::kMpiBatchAck || !ack.is_ok()) return;
+        EXPECT_EQ(ack.value().origin, "x");
+        cumulative = ack.value().cumulative;
+        ++acks;
+      },
+      [&](const proto::Envelope& env, Connection& conn) {
+        const BatchReceipt receipt = receiver.receive(
+            env.payload, conn, [&](proto::MpiBatch&) { ++delivered; });
+        EXPECT_NE(receipt, BatchReceipt::kMalformed);
+      });
+  proto::MpiBatch batch = one_frame_batch(7);
+  batch.origin = "x";
+  batch.seq = 1;
+  // A retransmitted copy of a batch whose ack was lost.
+  for (int copy = 0; copy < 2; ++copy)
+    ASSERT_TRUE(
+        pair.a->notify(proto::OpCode::kMpiBatch, batch.serialize()).is_ok());
+  EXPECT_TRUE(eventually([&] { return acks.load() == 2; }));
+  EXPECT_EQ(delivered.load(), 1);
+  EXPECT_EQ(cumulative.load(), 1u);
+  pair.a->close();
+  pair.b->close();
+}
+
+TEST(ReliableBatch, SenderAppliesOnlyItsOwnAcks) {
+  ConnPair pair = make_conn_pair(null_handler(), null_handler());
+  ReliableBatchSender batch_sender(
+      "a", SenderWindowConfig{}, [&](const BatchLink&) { return pair.a.get(); },
+      BatchSenderInstruments{
+          telemetry::MetricRegistry::global().counter("pg_test_retransmits"),
+          telemetry::MetricRegistry::global().histogram("pg_test_ack_rtt")});
+  const BatchLink link{LinkKind::kNode, "b"};
+  ASSERT_TRUE(batch_sender
+                  .send(link, *pair.a, one_frame_batch(7), {{7, 1}})
+                  .is_ok());
+  proto::MpiBatchAck ack;
+  ack.origin = "someone-else";
+  ack.cumulative = 1;
+  EXPECT_EQ(batch_sender.on_ack(link, ack.serialize()), 0u);
+  ack.origin = "a";
+  // Same name, other kind of link: not the window the batch went out on.
+  EXPECT_EQ(batch_sender.on_ack({LinkKind::kSite, "b"}, ack.serialize()), 0u);
+  EXPECT_EQ(batch_sender.on_ack(link, ack.serialize()), 1u);
+  EXPECT_EQ(batch_sender.window(link)->inflight_batches(), 0u);
+  batch_sender.shutdown();
+  pair.a->close();
+  pair.b->close();
 }
 
 TEST(AppRouting, PlacementLookups) {

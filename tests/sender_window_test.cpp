@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <unordered_set>
+#include <vector>
+
 #include "proxy/batch_window.hpp"
 #include "proxy/sender_window.hpp"
 
@@ -26,6 +30,29 @@ TEST(SenderWindow, SeqsAreContiguousFromOne) {
   EXPECT_EQ(window.next_seq(), 1u);
   EXPECT_EQ(window.next_seq(), 2u);
   EXPECT_EQ(window.next_seq(), 3u);
+}
+
+TEST(SenderWindow, ConcurrentSeqsAreDistinct) {
+  // Rank threads of a node agent, and the connection strands of a proxy,
+  // draw seqs from one link's window at once. A seq handed out twice makes
+  // the receiver drop the second batch as a duplicate: a lost message.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 50'000;
+  SenderWindow window(small_config());
+  std::vector<std::vector<std::uint64_t>> seqs(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&window, &out = seqs[t]] {
+      out.reserve(kPerThread);
+      for (int i = 0; i < kPerThread; ++i) out.push_back(window.next_seq());
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  std::unordered_set<std::uint64_t> distinct;
+  for (const auto& per_thread : seqs)
+    distinct.insert(per_thread.begin(), per_thread.end());
+  EXPECT_EQ(distinct.size(), std::size_t{kThreads} * kPerThread);
+  EXPECT_EQ(window.next_seq(), std::uint64_t{kThreads} * kPerThread + 1);
 }
 
 TEST(SenderWindow, CumulativeAckReleasesPrefix) {
