@@ -35,7 +35,7 @@ const char* error_code_name(ErrorCode code);
 /// A success/error outcome with an optional message.
 class Status {
  public:
-  Status() : code_(ErrorCode::kOk) {}
+  constexpr Status() : code_(ErrorCode::kOk) {}
   Status(ErrorCode code, std::string message)
       : code_(code), message_(std::move(message)) {}
 
@@ -73,8 +73,8 @@ class Result {
   bool is_ok() const { return std::holds_alternative<T>(data_); }
 
   const Status& status() const {
-    static const Status kOk;
-    return is_ok() ? kOk : std::get<Status>(data_);
+    const Status* failed = std::get_if<Status>(&data_);
+    return failed != nullptr ? *failed : kOk;
   }
 
   T& value() {
@@ -92,6 +92,10 @@ class Result {
   }
 
  private:
+  // A member rather than a function-local static in status(): the local's
+  // init guard kept status() from inlining, and GCC then flagged the
+  // Status alternative of a value-holding Result as maybe-uninitialized.
+  inline static const Status kOk{};
   std::variant<T, Status> data_;
 };
 

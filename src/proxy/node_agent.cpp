@@ -395,23 +395,22 @@ Status NodeAgent::fabric_send(std::uint64_t app_id,
     }
   }
 
-  // Even a single message rides a one-frame kMpiBatch so the proxy can ack
-  // it by (origin, seq) and the node can retransmit it.
-  proto::MpiBatch batch;
+  // Even a single message rides a kMpiBatch so the proxy can ack it by
+  // (origin, seq) and the node can retransmit it.
   proto::MpiFrame frame;
   frame.app_id = app_id;
   frame.src_rank = message.src;
   frame.tag = message.tag;
   frame.dst_ranks = {message.dst};
   frame.payload = message.payload;
-  batch.frames.push_back(std::move(frame));
-  return send_batch(std::move(batch), {{app_id, 1}});
+  std::vector<proto::MpiFrame> frames;
+  frames.push_back(std::move(frame));
+  return send_batch(std::move(frames));
 }
 
-Status NodeAgent::send_batch(
-    proto::MpiBatch batch, std::map<std::uint64_t, std::size_t> frames_per_app) {
-  return batch_sender_.send({LinkKind::kSite, config_.site}, *connection_,
-                            std::move(batch), std::move(frames_per_app));
+Status NodeAgent::send_batch(std::vector<proto::MpiFrame> frames) {
+  return batch_sender_.enqueue({LinkKind::kSite, config_.site},
+                               std::move(frames));
 }
 
 Status NodeAgent::fabric_multicast(std::uint64_t app_id,
@@ -439,20 +438,20 @@ Status NodeAgent::fabric_multicast(std::uint64_t app_id,
   }
   if (remote.empty()) return Status::ok();
 
-  proto::MpiBatch batch;
   proto::MpiFrame frame;
   frame.app_id = app_id;
   frame.src_rank = message.src;
   frame.tag = message.tag;
   frame.dst_ranks = std::move(remote);
   frame.payload = message.payload;
-  batch.frames.push_back(std::move(frame));
-  return send_batch(std::move(batch), {{app_id, 1}});
+  std::vector<proto::MpiFrame> frames;
+  frames.push_back(std::move(frame));
+  return send_batch(std::move(frames));
 }
 
 Status NodeAgent::fabric_send_batch(
     std::uint64_t app_id, const std::vector<mpi::MpiMessage>& messages) {
-  proto::MpiBatch batch;
+  std::vector<proto::MpiFrame> frames;
   {
     std::lock_guard<std::mutex> lock(apps_mutex_);
     const auto it = apps_.find(app_id);
@@ -470,13 +469,11 @@ Status NodeAgent::fabric_send_batch(
       frame.tag = message.tag;
       frame.dst_ranks = {message.dst};
       frame.payload = message.payload;
-      batch.frames.push_back(std::move(frame));
+      frames.push_back(std::move(frame));
     }
   }
-  if (batch.frames.empty()) return Status::ok();
-
-  return send_batch(std::move(batch),
-                    {{app_id, batch.frames.size()}});
+  if (frames.empty()) return Status::ok();
+  return send_batch(std::move(frames));
 }
 
 // -------------------------------------------------------------- services

@@ -105,9 +105,9 @@ class NodeAgent {
                           const std::vector<std::uint32_t>& dst_ranks);
   Status fabric_send_batch(std::uint64_t app_id,
                            const std::vector<mpi::MpiMessage>& messages);
-  /// Sends one originated batch up the proxy link, reliably.
-  Status send_batch(proto::MpiBatch batch,
-                    std::map<std::uint64_t, std::size_t> frames_per_app);
+  /// Queues originated frames on the proxy link, together: an idle link
+  /// carries them in one envelope.
+  Status send_batch(std::vector<proto::MpiFrame> frames);
 
   NodeAgentConfig config_;
   /// Ticket cache for this agent's own dials: a re-created agent config can

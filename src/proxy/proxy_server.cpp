@@ -45,7 +45,6 @@ SenderWindowConfig window_config(const ProxyConfig& config) {
   window.rto_initial_micros =
       static_cast<std::uint64_t>(config.mpi_ack_rto_initial);
   window.rto_max_micros = static_cast<std::uint64_t>(config.mpi_ack_rto_max);
-  window.budget_max_bytes = config.mpi_inflight_max_bytes;
   return window;
 }
 }  // namespace
@@ -68,13 +67,29 @@ ProxyServer::ProxyServer(ProxyConfig config)
             return link.kind == LinkKind::kSite ? peer_connection(link.name)
                                                 : node_connection(link.name);
           },
-          BatchSenderInstruments{instruments_.mpi_retransmits,
-                                 instruments_.mpi_ack_rtt_micros,
-                                 &instruments_.mpi_inflight_bytes}) {
+          BatchSenderInstruments{
+              instruments_.mpi_retransmits, instruments_.mpi_ack_rtt_micros,
+              &instruments_.mpi_inflight_bytes,
+              [this](const BatchLink& link, const BatchFlush& flush) {
+                // Batch and lane counters describe inter-site traffic only.
+                const double bytes = static_cast<double>(flush.bytes);
+                if (link.kind == LinkKind::kNode) {
+                  instruments_.mpi_messages_local.increment();
+                  instruments_.mpi_bytes_local.increment(flush.bytes);
+                  instruments_.mpi_message_bytes_local.observe(bytes);
+                  return;
+                }
+                instruments_.mpi_messages_remote.increment();
+                instruments_.mpi_bytes_remote.increment(flush.bytes);
+                instruments_.mpi_message_bytes_remote.observe(bytes);
+                instruments_.batch_flush(flush.reason);
+                instruments_.lane_flush(flush.latency_frames > 0,
+                                        flush.latency_frames < flush.frames);
+              }},
+          config_.mpi_batch_flush_interval) {
   if (config_.heartbeat_interval > 0) schedule_heartbeat();
   if (config_.shards > 1 && config_.shard_gossip_interval > 0)
     schedule_shard_gossip();
-  // No flusher thread: parked batches arm a reactor timer on demand.
 }
 
 ProxyServer::~ProxyServer() { shutdown(); }
@@ -132,7 +147,6 @@ Status ProxyServer::attach_node(const std::string& node_name,
       return error(ErrorCode::kAlreadyExists,
                    "node already attached: " + node_name);
     nodes_[node_name] = std::move(conn);
-    conns_generation_.fetch_add(1, std::memory_order_release);
   }
   instruments_.open_connections.add(1);
   instruments_.shard_owned_keys.add(1);
@@ -187,7 +201,6 @@ Status ProxyServer::connect_peer(const std::string& peer_site,
       peers_.erase(existing);
     }
     peers_[peer_site] = std::move(conn);
-    conns_generation_.fetch_add(1, std::memory_order_release);
   }
   instruments_.open_connections.add(1);
   // Set only once the connection is actually kept: a rejected duplicate is
@@ -649,9 +662,10 @@ void ProxyServer::close_app_locally(std::uint64_t app_id) {
   // is globally done or aborted, so no rank anywhere still needs the data.
   instruments_.frames_dropped(DropReason::kAppClosed,
                               batch_sender_.drop_app(app_id));
-  // Push out any frames still queued for peer sites: ranks elsewhere may be
-  // blocked on data sent just before this site's share of the app ended.
-  flush_batches(FlushReason::kTeardown);
+  // Push out any frames still queued: ranks elsewhere may be blocked on
+  // data sent just before this site's share of the app ended.
+  instruments_.frames_dropped(DropReason::kLinkDown,
+                              batch_sender_.teardown_flush());
 }
 
 void ProxyServer::site_finished(std::uint64_t app_id, const std::string& site,
@@ -687,7 +701,8 @@ void ProxyServer::handle_peer(const proto::Envelope& envelope,
     return;
   }
   if (envelope.op == proto::OpCode::kMpiBatchAck) {
-    handle_mpi_batch_ack(envelope, {LinkKind::kSite, conn.peer_name()});
+    (void)batch_sender_.on_ack({LinkKind::kSite, conn.peer_name()},
+                               envelope.payload);
     return;
   }
   if (envelope.op == proto::OpCode::kHeartbeat) {
@@ -788,7 +803,7 @@ void ProxyServer::handle_node(const std::string& node,
     return;
   }
   if (envelope.op == proto::OpCode::kMpiBatchAck) {
-    handle_mpi_batch_ack(envelope, {LinkKind::kNode, node});
+    (void)batch_sender_.on_ack({LinkKind::kNode, node}, envelope.payload);
     return;
   }
   if (envelope.op == proto::OpCode::kTraceExport) {
@@ -910,40 +925,17 @@ void ProxyServer::handle_mpi_close(const proto::Envelope& envelope) {
   if (close_msg.is_ok()) close_app_locally(close_msg.value().app_id);
 }
 
-bool ProxyServer::resolve_rank_route(std::uint64_t app_id,
-                                     std::uint32_t dst_rank, bool& local,
-                                     std::string& target, Connection*& conn) {
-  const std::uint64_t generation =
-      conns_generation_.load(std::memory_order_acquire);
-  {
-    std::lock_guard<std::mutex> lock(apps_mutex_);
-    const auto it = apps_.find(app_id);
-    if (it == apps_.end()) return false;
-    const auto cached = it->second.route_cache.find(dst_rank);
-    if (cached != it->second.route_cache.end() &&
-        cached->second.generation == generation) {
-      local = cached->second.local;
-      target = cached->second.target;
-      conn = cached->second.conn;
-      return true;
-    }
-    const proto::RankPlacement* placement =
-        it->second.routing.placement_of(dst_rank);
-    if (placement == nullptr) return false;
-    local = placement->site == config_.site;
-    target = local ? placement->node : placement->site;
-  }
-  // Connection maps have their own lock; resolve outside apps_mutex_ and
-  // write the cache entry back (a lost race just re-resolves next time).
-  conn = local ? node_connection(target) : peer_connection(target);
-  {
-    std::lock_guard<std::mutex> lock(apps_mutex_);
-    const auto it = apps_.find(app_id);
-    if (it != apps_.end())
-      it->second.route_cache[dst_rank] =
-          RouteEntry{local, target, conn, generation};
-  }
-  return true;
+std::optional<BatchLink> ProxyServer::rank_link(std::uint64_t app_id,
+                                                std::uint32_t dst_rank) {
+  std::lock_guard<std::mutex> lock(apps_mutex_);
+  const auto it = apps_.find(app_id);
+  if (it == apps_.end()) return std::nullopt;
+  const proto::RankPlacement* placement =
+      it->second.routing.placement_of(dst_rank);
+  if (placement == nullptr) return std::nullopt;
+  if (placement->site == config_.site)
+    return BatchLink{LinkKind::kNode, placement->node};
+  return BatchLink{LinkKind::kSite, placement->site};
 }
 
 void ProxyServer::handle_mpi_batch(const proto::Envelope& envelope,
@@ -960,62 +952,21 @@ void ProxyServer::handle_mpi_batch(const proto::Envelope& envelope,
   }
 }
 
-void ProxyServer::handle_mpi_batch_ack(const proto::Envelope& envelope,
-                                       const BatchLink& link) {
-  // Released window space may unblock a queue deferred by congestion.
-  if (batch_sender_.on_ack(link, envelope.payload) > 0 &&
-      link.kind == LinkKind::kSite)
-    drain_if_window_open(link.name);
-}
-
 void ProxyServer::route_mpi_frame(proto::MpiFrame frame) {
-  // Split the frame's destinations: ranks on this site group per hosting
-  // node (one kMpiBatch down each node link), remote ranks group per peer
-  // site (one queued frame each — the payload crosses every link once).
-  std::map<std::string, std::vector<std::uint32_t>> per_node;
-  std::map<std::string, Connection*> node_conns;
-  std::map<std::string, std::vector<std::uint32_t>> per_site;
+  // Split the frame's destinations per link: ranks on this site group per
+  // hosting node, remote ranks per peer site.
+  std::map<BatchLink, std::vector<std::uint32_t>> per_link;
   for (const std::uint32_t dst : frame.dst_ranks) {
-    bool local = false;
-    std::string target;
-    Connection* conn = nullptr;
-    if (!resolve_rank_route(frame.app_id, dst, local, target, conn)) {
+    std::optional<BatchLink> link = rank_link(frame.app_id, dst);
+    if (!link) {
       PG_WARN << config_.site << ": batch frame for unknown app "
               << frame.app_id << " / rank " << dst;
       continue;
     }
-    if (local) {
-      per_node[target].push_back(dst);
-      node_conns[target] = conn;
-    } else {
-      per_site[target].push_back(dst);
-    }
+    per_link[std::move(*link)].push_back(dst);
   }
 
-  for (auto& [node, dsts] : per_node) {
-    Connection* conn = node_conns[node];
-    if (conn == nullptr) {
-      PG_WARN << config_.site << ": no link to node " << node;
-      continue;
-    }
-    proto::MpiBatch out;
-    proto::MpiFrame fanned;
-    fanned.app_id = frame.app_id;
-    fanned.src_rank = frame.src_rank;
-    fanned.tag = frame.tag;
-    fanned.dst_ranks = std::move(dsts);
-    fanned.payload = frame.payload;
-    instruments_.mpi_fanout.increment(fanned.dst_ranks.size());
-    out.frames.push_back(std::move(fanned));
-    (void)batch_sender_.send({LinkKind::kNode, node}, *conn, std::move(out),
-                             {{frame.app_id, 1}});
-    instruments_.mpi_messages_local.increment();
-    instruments_.mpi_bytes_local.increment(frame.payload.size());
-    instruments_.mpi_message_bytes_local.observe(
-        static_cast<double>(frame.payload.size()));
-  }
-
-  for (auto& [site, dsts] : per_site) {
+  for (auto& [link, dsts] : per_link) {
     proto::MpiFrame forward;
     forward.app_id = frame.app_id;
     forward.src_rank = frame.src_rank;
@@ -1023,187 +974,12 @@ void ProxyServer::route_mpi_frame(proto::MpiFrame frame) {
     forward.dst_ranks = std::move(dsts);
     forward.payload = frame.payload;
     instruments_.mpi_fanout.increment(forward.dst_ranks.size());
-    enqueue_remote_frame(site, std::move(forward));
+    if (link.kind == LinkKind::kSite)
+      instruments_.mpi_batch_messages.increment();
+    std::vector<proto::MpiFrame> frames;
+    frames.push_back(std::move(forward));
+    (void)batch_sender_.enqueue(link, std::move(frames));
   }
-}
-
-void ProxyServer::enqueue_remote_frame(const std::string& site,
-                                       proto::MpiFrame frame) {
-  instruments_.mpi_batch_messages.increment();
-  std::unique_lock<std::mutex> lock(batch_mutex_);
-  SiteBatch& batch = batches_[site];
-  batch.bytes += frame.payload.size();
-  QueuedFrame queued{std::move(frame)};
-  // Lane split: small frames (barriers, acks, control-sized payloads) jump
-  // ahead of bulk transfers so a 16 MiB send can't head-of-line-block them.
-  queued.latency = queued.frame.payload.size() <= config_.mpi_latency_lane_bytes;
-  (queued.latency ? batch.latency : batch.bulk).push_back(std::move(queued));
-  if (batch.flushing) return;  // active drainer will carry this frame too
-  batch.flushing = true;
-  batch.deadline = 0;
-  drain_site_locked(lock, site, FlushReason::kImmediate);
-}
-
-void ProxyServer::drain_site_locked(std::unique_lock<std::mutex>& lock,
-                                    const std::string& site,
-                                    FlushReason trigger) {
-  // Lock order: batch_mutex_ is held; window() takes the sender's lock —
-  // that nesting is the sanctioned direction (never the reverse).
-  const BatchLink link{LinkKind::kSite, site};
-  const std::shared_ptr<SenderWindow> window = batch_sender_.window(link);
-  bool first = true;
-  for (;;) {
-    SiteBatch& batch = batches_[site];
-    if (batch.empty()) {
-      batch.flushing = false;
-      batch.deadline = 0;
-      return;
-    }
-
-    if (!window->can_send(1)) {
-      // Congestion: the link's in-flight bytes exceed its AIMD budget.
-      // Park the queue; an ack (drain_if_window_open) or the interval
-      // flusher resumes it.
-      batch.flushing = false;
-      batch.deadline = steady_micros() + config_.mpi_batch_flush_interval;
-      schedule_flusher_locked();
-      return;
-    }
-
-    // Carve one envelope's worth of frames off the front — latency lane
-    // first so barriers and small sends overtake queued bulk data. The byte
-    // budget shrinks to the congestion window's current chunk size.
-    const std::size_t max_bytes =
-        std::min(config_.mpi_batch_max_bytes, window->budget_bytes());
-    std::vector<QueuedFrame> chunk;
-    std::size_t chunk_bytes = 0;
-    std::size_t latency_frames = 0;
-    bool bytes_full = false;
-    const auto carve = [&](std::deque<QueuedFrame>& lane) {
-      while (!lane.empty() && chunk.size() < config_.mpi_batch_max_frames) {
-        const std::size_t size = lane.front().frame.payload.size();
-        if (!chunk.empty() && chunk_bytes + size > max_bytes) {
-          bytes_full = true;
-          break;
-        }
-        chunk_bytes += size;
-        latency_frames += lane.front().latency ? 1 : 0;
-        chunk.push_back(std::move(lane.front()));
-        lane.pop_front();
-      }
-    };
-    carve(batch.latency);
-    if (!bytes_full) carve(batch.bulk);
-    batch.bytes -= chunk_bytes;
-    const FlushReason reason =
-        bytes_full                ? FlushReason::kBytes
-        : chunk.size() >= config_.mpi_batch_max_frames ? FlushReason::kFrames
-        : first                   ? trigger
-                                  : FlushReason::kCombine;
-    first = false;
-
-    // Network I/O happens outside the lock; the `flushing` flag keeps this
-    // thread the queue's only drainer meanwhile.
-    lock.unlock();
-    Connection* conn = peer_connection(site);
-    if (conn == nullptr || !conn->alive()) {
-      lock.lock();
-      if (trigger == FlushReason::kTeardown) {
-        // Nobody will retry after teardown: a send to a dead site vanishes.
-        instruments_.frames_dropped(DropReason::kLinkDown, chunk.size());
-        continue;
-      }
-      // Park the chunk at the front of its lanes; the flusher thread
-      // retries after the interval, by which time auto-reconnect may have
-      // revived the link.
-      SiteBatch& parked = batches_[site];
-      for (auto it = chunk.rbegin(); it != chunk.rend(); ++it) {
-        (it->latency ? parked.latency : parked.bulk)
-            .push_front(std::move(*it));
-      }
-      parked.bytes += chunk_bytes;
-      parked.flushing = false;
-      parked.deadline = steady_micros() + config_.mpi_batch_flush_interval;
-      schedule_flusher_locked();
-      return;
-    }
-
-    proto::MpiBatch out;
-    out.frames.reserve(chunk.size());
-    std::map<std::uint64_t, std::size_t> per_app;
-    for (QueuedFrame& queued : chunk) {
-      ++per_app[queued.frame.app_id];
-      out.frames.push_back(std::move(queued.frame));
-    }
-    (void)batch_sender_.send(link, *conn, std::move(out), std::move(per_app));
-    instruments_.mpi_messages_remote.increment();
-    instruments_.mpi_bytes_remote.increment(chunk_bytes);
-    instruments_.mpi_message_bytes_remote.observe(
-        static_cast<double>(chunk_bytes));
-    instruments_.batch_flush(reason);
-    instruments_.lane_flush(latency_frames > 0, latency_frames < chunk.size());
-    lock.lock();
-  }
-}
-
-void ProxyServer::flush_batches(FlushReason reason) {
-  std::unique_lock<std::mutex> lock(batch_mutex_);
-  for (auto& [site, batch] : batches_) {
-    if (batch.flushing || batch.empty()) continue;
-    batch.flushing = true;
-    batch.deadline = 0;
-    drain_site_locked(lock, site, reason);
-  }
-}
-
-void ProxyServer::schedule_flusher_locked() {
-  if (flusher_scheduled_) return;
-  if (shut_down_.load(std::memory_order_acquire)) return;
-  const TimeMicros now = steady_micros();
-  TimeMicros next = 0;
-  for (const auto& [site, batch] : batches_) {
-    if (batch.empty() || batch.flushing || batch.deadline == 0) continue;
-    if (next == 0 || batch.deadline < next) next = batch.deadline;
-  }
-  if (next == 0) return;  // nothing parked, no timer needed
-  flusher_scheduled_ = true;
-  flusher_timer_ = net::Reactor::global().schedule_timer(
-      next > now ? next - now : TimeMicros{1}, [this] { flusher_fire(); });
-}
-
-void ProxyServer::flusher_fire() {
-  std::unique_lock<std::mutex> lock(batch_mutex_);
-  flusher_scheduled_ = false;
-  flusher_timer_ = 0;
-  if (shut_down_.load(std::memory_order_acquire)) return;
-
-  const TimeMicros now = steady_micros();
-  std::vector<std::string> due;
-  for (const auto& [site, batch] : batches_) {
-    if (!batch.empty() && !batch.flushing && batch.deadline != 0 &&
-        batch.deadline <= now)
-      due.push_back(site);
-  }
-  for (const std::string& site : due) {
-    SiteBatch& batch = batches_[site];
-    if (batch.flushing || batch.empty()) continue;
-    batch.flushing = true;
-    batch.deadline = 0;
-    drain_site_locked(lock, site, FlushReason::kInterval);
-  }
-  // Whatever parked again (link still dead or window still full) re-arms
-  // the retry timer; a fully drained queue leaves no timer behind.
-  schedule_flusher_locked();
-}
-
-void ProxyServer::drain_if_window_open(const std::string& site) {
-  std::unique_lock<std::mutex> lock(batch_mutex_);
-  const auto it = batches_.find(site);
-  if (it == batches_.end() || it->second.flushing || it->second.empty())
-    return;
-  it->second.flushing = true;
-  it->second.deadline = 0;
-  drain_site_locked(lock, site, FlushReason::kWindow);
 }
 
 void ProxyServer::handle_mpi_done_from_node(const proto::Envelope& envelope) {
@@ -1750,7 +1526,6 @@ std::vector<LinkReport> ProxyServer::link_report() const {
 void ProxyServer::on_peer_down(const std::string& site, const Status& reason) {
   instruments_.disconnect(config_.site, site, reason);
   instruments_.open_connections.add(-1);
-  conns_generation_.fetch_add(1, std::memory_order_release);
   if (shut_down_.load(std::memory_order_acquire)) return;
 
   // A reconnect may already have replaced the dead connection (this fires
@@ -1812,7 +1587,6 @@ void ProxyServer::on_node_down(const std::string& node, const Status& reason) {
   instruments_.disconnect(config_.site, node, reason);
   instruments_.open_connections.add(-1);
   instruments_.shard_owned_keys.add(-1);
-  conns_generation_.fetch_add(1, std::memory_order_release);
   if (shut_down_.load(std::memory_order_acquire)) return;
 
   PG_WARN << config_.site << ": node " << node
@@ -1945,21 +1719,12 @@ void ProxyServer::shutdown() {
   if (hb_timer != 0) net::Reactor::global().cancel_timer(hb_timer);
   if (gossip_timer != 0) net::Reactor::global().cancel_timer(gossip_timer);
 
-  // Cancel the batch retry timer, then push out whatever is still queued
-  // while the links are up (frames for dead sites are dropped).
-  std::uint64_t flush_timer = 0;
-  {
-    std::lock_guard<std::mutex> lock(batch_mutex_);
-    flush_timer = flusher_timer_;
-    flusher_timer_ = 0;
-    flusher_scheduled_ = false;
-  }
-  if (flush_timer != 0) net::Reactor::global().cancel_timer(flush_timer);
-
-  // Likewise the retransmission timer: whatever is still unacked dies with
-  // the proxy.
+  // Cancel the data-plane timer (whatever is still unacked dies with the
+  // proxy), then push out whatever is still queued while the links are up
+  // (frames for dead links are dropped).
   batch_sender_.shutdown();
-  flush_batches(FlushReason::kTeardown);
+  instruments_.frames_dropped(DropReason::kLinkDown,
+                              batch_sender_.teardown_flush());
 
   // Snapshot under the lock but close outside it: close() quiesces the
   // connection's strand, and a strand mid-handler may itself need

@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -89,15 +90,12 @@ struct ProxyConfig {
   std::uint32_t job_workers = 4;
 
   // ---- MPI data-plane batching (docs/PERFORMANCE.md, "MPI data plane") ----
-  /// Retry period for batch frames parked on a dead inter-site link or
-  /// behind a full congestion window; must be positive. Batching adds no
-  /// latency on an idle link (a lone enqueue drains itself immediately);
-  /// coalescing only happens when sends genuinely pile up.
-  TimeMicros mpi_batch_flush_interval = 2000;
-  /// Payload-byte budget per flushed kMpiBatch envelope.
-  std::size_t mpi_batch_max_bytes = 256 * 1024;
-  /// Frame budget per flushed kMpiBatch envelope.
-  std::size_t mpi_batch_max_frames = 64;
+  /// Retry period for batch frames parked on a dead link or behind a full
+  /// congestion window; must be positive. Batching adds no latency on an
+  /// idle link (a lone enqueue drains itself immediately); coalescing only
+  /// happens when sends genuinely pile up. Envelope and lane limits are
+  /// constants (kBatchMaxBytes, kBatchMaxFrames, kLatencyLaneBytes).
+  TimeMicros mpi_batch_flush_interval = kDefaultRetryInterval;
 
   // ---- reliable data plane (docs/RESILIENCE.md, "at-least-once") ----
   /// Every kMpiBatch is retransmitted until acked; this proxy's node
@@ -108,14 +106,6 @@ struct ProxyConfig {
   TimeMicros mpi_ack_rto_initial = 50 * 1000;
   /// Backoff ceiling for repeated retransmissions of the same batch.
   TimeMicros mpi_ack_rto_max = 2 * kMicrosPerSecond;
-  /// Ceiling of each link's AIMD in-flight budget (congestion window): it
-  /// grows additively per acked batch up to this and halves on an RTO;
-  /// draining defers while unacked bytes exceed it.
-  std::size_t mpi_inflight_max_bytes = 1024 * 1024;
-  /// Frames with payloads at or under this ride the latency lane, flushed
-  /// ahead of bulk frames on the same link (a barrier never queues behind
-  /// a 16 MiB transfer).
-  std::size_t mpi_latency_lane_bytes = 4096;
 
   // ---- sharded proxy tier (docs/PROTOCOL.md, "Sharded proxy tier") ----
   /// Number of proxy shards serving this logical site. `site` above is
@@ -314,47 +304,11 @@ class ProxyServer {
     bool done() const { return pending_sites.empty() || !failure.is_ok(); }
   };
 
-  /// Cached resolution of one destination rank: where it lives and the
-  /// connection that reaches it. Valid only while `generation` matches
-  /// conns_generation_ (bumped whenever a connection is added or lost).
-  struct RouteEntry {
-    bool local = false;
-    std::string target;  // node name (local) or peer site (remote)
-    Connection* conn = nullptr;
-    std::uint64_t generation = 0;
-  };
-
   struct AppState {
     AppRouting routing;
     std::string origin_site;  // empty when this proxy is the origin
     std::set<std::string> pending_nodes;
     std::uint32_t exit_code = 0;
-    std::unordered_map<std::uint32_t, RouteEntry> route_cache;
-  };
-
-  /// One queued data frame bound for a peer site.
-  struct QueuedFrame {
-    proto::MpiFrame frame;
-    /// True when the payload fits config_.mpi_latency_lane_bytes.
-    bool latency = false;
-  };
-
-  /// Per-destination-site outgoing batch queue (greedy-drain batching),
-  /// split into two priority lanes: small latency-critical frames always
-  /// drain before bulk payloads already waiting on the same link.
-  struct SiteBatch {
-    std::deque<QueuedFrame> latency;
-    std::deque<QueuedFrame> bulk;
-    std::size_t bytes = 0;
-    /// True while one thread drains this queue; concurrent enqueuers just
-    /// append — their frames ride in the drainer's next envelope.
-    bool flushing = false;
-    /// When nonzero, the flusher thread retries at this steady-clock time
-    /// (frames parked because the peer link was down, or held back because
-    /// the link's congestion window is full).
-    TimeMicros deadline = 0;
-
-    bool empty() const { return latency.empty() && bulk.empty(); }
   };
 
   // -- handlers (reader threads)
@@ -372,10 +326,6 @@ class ProxyServer {
   void handle_mpi_close(const proto::Envelope& envelope);
   void handle_mpi_abort_from_peer(const proto::Envelope& envelope);
   void handle_mpi_batch(const proto::Envelope& envelope, Connection& conn);
-  /// Applies a kMpiBatchAck that arrived on `link` to its sender window;
-  /// released window space re-drains a deferred site queue.
-  void handle_mpi_batch_ack(const proto::Envelope& envelope,
-                            const BatchLink& link);
   void handle_mpi_done_from_node(const proto::Envelope& envelope);
   void handle_mpi_done_from_peer(const proto::Envelope& envelope);
   void handle_tunnel_from_node(const std::string& node,
@@ -402,38 +352,15 @@ class ProxyServer {
   tls::GsslConfig gssl_config(const std::string& expected_peer) const;
   void relay_async(std::function<void()> work);
 
-  // -- MPI data-plane fast path
-  /// Resolves where `dst_rank` lives through the per-app route cache
-  /// (falls back to the indexed routing table + connection maps on a miss
-  /// or a generation change). False when the app or rank is unknown; the
-  /// resolved connection may still be null when no link exists.
-  bool resolve_rank_route(std::uint64_t app_id, std::uint32_t dst_rank,
-                          bool& local, std::string& target,
-                          Connection*& conn);
-  /// Routes one (possibly fan-out) frame: local destinations become one
-  /// kMpiBatch per hosting node, remote destinations one queued frame per
-  /// peer site.
+  // -- MPI data plane
+  /// The data link that reaches `dst_rank`: its node's link when the rank
+  /// runs on this site, its site's link otherwise. Empty when the app or
+  /// rank is unknown.
+  std::optional<BatchLink> rank_link(std::uint64_t app_id,
+                                     std::uint32_t dst_rank);
+  /// Routes one (possibly fan-out) frame: one queued frame per hosting
+  /// node or peer site, so the payload crosses every link once.
   void route_mpi_frame(proto::MpiFrame frame);
-  /// Queues a frame for `site` and drains the queue unless another thread
-  /// already is.
-  void enqueue_remote_frame(const std::string& site, proto::MpiFrame frame);
-  /// Drains batches_[site] to the peer link; call with `lock` held and the
-  /// site's `flushing` flag owned. Unlocks around every network send.
-  void drain_site_locked(std::unique_lock<std::mutex>& lock,
-                         const std::string& site, FlushReason trigger);
-  /// Drains every idle non-empty site queue (teardown / shutdown).
-  void flush_batches(FlushReason reason);
-  /// Arms the one-shot retry timer for the earliest parked batch deadline.
-  /// Call with batch_mutex_ held; no-op when armed already, nothing is
-  /// parked, or the proxy is shutting down.
-  void schedule_flusher_locked();
-  /// Reactor-timer callback: retries parked batches that came due, then
-  /// re-arms for whatever is still parked.
-  void flusher_fire();
-
-  /// Drains `site`'s queue if frames were deferred waiting on congestion-
-  /// window space (called when an ack frees some).
-  void drain_if_window_open(const std::string& site);
 
   // -- resilience
   /// Retrying request/response against whatever connection `resolve`
@@ -499,8 +426,6 @@ class ProxyServer {
   mutable std::mutex conns_mutex_;
   std::map<std::string, ConnectionPtr> peers_;
   std::map<std::string, ConnectionPtr> nodes_;
-  /// Bumped on every connection add/loss; invalidates RouteEntry caches.
-  std::atomic<std::uint64_t> conns_generation_{1};
 
   mutable std::mutex apps_mutex_;
   std::condition_variable runs_cv_;
@@ -530,17 +455,9 @@ class ProxyServer {
   std::uint64_t heartbeat_timer_ = 0;     // guarded by timers_mutex_
   std::uint64_t shard_gossip_timer_ = 0;  // guarded by timers_mutex_
 
-  // Outgoing MPI batch queues, one per destination site. Frames parked on
-  // a dead link arm a one-shot reactor retry timer — there is no polling
-  // flusher thread; nothing parked means no timer exists at all.
-  std::mutex batch_mutex_;
-  std::map<std::string, SiteBatch> batches_;
-  std::uint64_t flusher_timer_ = 0;   // guarded by batch_mutex_
-  bool flusher_scheduled_ = false;    // guarded by batch_mutex_
-
-  // Reliable kMpiBatch streams: one sender window per outgoing link (peer
-  // sites and this site's nodes), and dedup + acks for arriving batches.
-  // Lock order: batch_mutex_ before the sender's lock, never the reverse.
+  // Reliable kMpiBatch streams: one queue and sender window per outgoing
+  // link (peer sites and this site's nodes), and dedup + acks for arriving
+  // batches.
   ReliableBatchSender batch_sender_;
   ReliableBatchReceiver batch_receiver_;
 

@@ -1,5 +1,6 @@
 #include "proxy/reliable_batch.hpp"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -13,6 +14,12 @@ std::uint64_t now_micros() {
   return static_cast<std::uint64_t>(steady_micros());
 }
 
+/// Lane split: small frames (barriers, control-sized payloads) jump ahead
+/// of bulk transfers already waiting on the same link.
+bool latency_lane(const proto::MpiFrame& frame) {
+  return frame.payload.size() <= kLatencyLaneBytes;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- sender
@@ -20,37 +27,145 @@ std::uint64_t now_micros() {
 ReliableBatchSender::ReliableBatchSender(std::string origin,
                                          SenderWindowConfig config,
                                          Resolve resolve,
-                                         BatchSenderInstruments instruments)
+                                         BatchSenderInstruments instruments,
+                                         TimeMicros retry_interval)
     : origin_(std::move(origin)),
       config_(config),
       resolve_(std::move(resolve)),
-      instruments_(instruments) {}
+      instruments_(std::move(instruments)),
+      retry_interval_(static_cast<std::uint64_t>(retry_interval)) {}
 
 ReliableBatchSender::~ReliableBatchSender() { shutdown(); }
 
 std::shared_ptr<SenderWindow> ReliableBatchSender::window(
     const BatchLink& link) {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::shared_ptr<SenderWindow>& window = windows_[link];
-  if (window == nullptr) window = std::make_shared<SenderWindow>(config_);
-  return window;
+  return link_locked(link).window;
 }
 
-Status ReliableBatchSender::send(
-    const BatchLink& link, Connection& conn, proto::MpiBatch batch,
-    std::map<std::uint64_t, std::size_t> frames_per_app) {
-  const std::shared_ptr<SenderWindow> link_window = window(link);
-  batch.origin = origin_;
-  batch.seq = link_window->next_seq();
-  const Bytes wire = batch.serialize();
-  link_window->track(batch.seq, wire, std::move(frames_per_app),
-                     now_micros());
-  add_inflight(static_cast<std::int64_t>(wire.size()));
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    arm_locked();
+ReliableBatchSender::Link& ReliableBatchSender::link_locked(
+    const BatchLink& key) {
+  Link& link = links_[key];
+  if (link.window == nullptr)
+    link.window = std::make_shared<SenderWindow>(config_);
+  return link;
+}
+
+Status ReliableBatchSender::enqueue(const BatchLink& key,
+                                   std::vector<proto::MpiFrame> frames) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  Link& link = link_locked(key);
+  for (proto::MpiFrame& frame : frames) {
+    std::deque<proto::MpiFrame>& lane =
+        latency_lane(frame) ? link.latency : link.bulk;
+    lane.push_back(std::move(frame));
   }
-  return conn.notify(proto::OpCode::kMpiBatch, wire);
+  if (!drain(lock, key, link, FlushReason::kImmediate).link_down)
+    return Status::ok();
+  return error(ErrorCode::kUnavailable, "no live connection to " + key.name);
+}
+
+ReliableBatchSender::Drained ReliableBatchSender::drain(
+    std::unique_lock<std::mutex>& lock, const BatchLink& key, Link& link,
+    FlushReason trigger) {
+  if (link.draining || link.empty()) return {};
+  link.draining = true;
+  link.retry_at = 0;
+  const std::shared_ptr<SenderWindow> window = link.window;
+  const auto park = [&] {
+    link.draining = false;
+    link.retry_at = now_micros() + retry_interval_;
+    arm_locked(link.retry_at);
+  };
+  Drained drained;
+  bool first = true;
+  for (;;) {
+    if (link.empty()) {
+      link.draining = false;
+      return drained;
+    }
+    if (!window->can_send(1)) {
+      // Congestion: in-flight bytes exceed the link's AIMD budget. An ack
+      // (on_ack) or the retry timer resumes the queue.
+      park();
+      return drained;
+    }
+
+    // Carve one envelope's worth of frames off the front, latency lane
+    // first. The byte budget shrinks to the window's current chunk size.
+    const std::size_t max_bytes =
+        std::min(kBatchMaxBytes, window->budget_bytes());
+    std::vector<proto::MpiFrame> chunk;
+    BatchFlush flush;
+    bool bytes_full = false;
+    const auto carve = [&](std::deque<proto::MpiFrame>& lane) {
+      while (!lane.empty() && chunk.size() < kBatchMaxFrames) {
+        const std::size_t size = lane.front().payload.size();
+        if (!chunk.empty() && flush.bytes + size > max_bytes) {
+          bytes_full = true;
+          break;
+        }
+        flush.bytes += size;
+        chunk.push_back(std::move(lane.front()));
+        lane.pop_front();
+      }
+    };
+    carve(link.latency);
+    flush.latency_frames = chunk.size();
+    if (!bytes_full) carve(link.bulk);
+    flush.frames = chunk.size();
+    flush.reason = bytes_full                       ? FlushReason::kBytes
+                   : chunk.size() >= kBatchMaxFrames ? FlushReason::kFrames
+                   : first                          ? trigger
+                                                    : FlushReason::kCombine;
+    first = false;
+
+    // Network I/O happens outside the lock; the `draining` flag keeps this
+    // thread the queue's only drainer meanwhile.
+    lock.unlock();
+    Connection* conn = resolve_(key);
+    if (conn == nullptr || !conn->alive()) {
+      lock.lock();
+      if (trigger == FlushReason::kTeardown) {
+        // Nobody retries after teardown: a send to a dead link vanishes.
+        drained.dropped += chunk.size();
+        continue;
+      }
+      // Put the chunk back at the front of its lanes and retry later, by
+      // which time a reconnect may have revived the link.
+      for (auto it = chunk.rbegin(); it != chunk.rend(); ++it) {
+        std::deque<proto::MpiFrame>& lane =
+            latency_lane(*it) ? link.latency : link.bulk;
+        lane.push_front(std::move(*it));
+      }
+      drained.link_down = true;
+      park();
+      return drained;
+    }
+    const std::uint64_t deadline =
+        send_chunk(key, *window, *conn, std::move(chunk), flush);
+    lock.lock();
+    arm_locked(deadline);
+  }
+}
+
+std::uint64_t ReliableBatchSender::send_chunk(
+    const BatchLink& key, SenderWindow& window, Connection& conn,
+    std::vector<proto::MpiFrame> chunk, const BatchFlush& flush) {
+  proto::MpiBatch batch;
+  batch.origin = origin_;
+  batch.seq = window.next_seq();
+  std::map<std::uint64_t, std::size_t> frames_per_app;
+  for (const proto::MpiFrame& frame : chunk) ++frames_per_app[frame.app_id];
+  batch.frames = std::move(chunk);
+  const Bytes wire = batch.serialize();
+  // Tracked before the send: the ack may race back on another thread.
+  const std::uint64_t deadline =
+      window.track(batch.seq, wire, std::move(frames_per_app), now_micros());
+  add_inflight(static_cast<std::int64_t>(wire.size()));
+  (void)conn.notify(proto::OpCode::kMpiBatch, wire);
+  if (instruments_.flushed) instruments_.flushed(key, flush);
+  return deadline;
 }
 
 std::size_t ReliableBatchSender::on_ack(const BatchLink& link,
@@ -60,15 +175,20 @@ std::size_t ReliableBatchSender::on_ack(const BatchLink& link,
   std::shared_ptr<SenderWindow> link_window;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = windows_.find(link);
-    if (it == windows_.end()) return 0;
-    link_window = it->second;
+    const auto it = links_.find(link);
+    if (it == links_.end()) return 0;
+    link_window = it->second.window;
   }
   const AckOutcome out = link_window->on_ack(
       ack.value().cumulative, ack.value().selective, now_micros());
   add_inflight(-static_cast<std::int64_t>(out.released_bytes));
   for (const std::uint64_t rtt : out.rtt_samples)
     instruments_.ack_rtt.observe(static_cast<double>(rtt));
+  if (out.released > 0) {
+    // Released window space may unblock a queue parked by congestion.
+    std::unique_lock<std::mutex> lock(mutex_);
+    (void)drain(lock, link, links_.at(link), FlushReason::kWindow);
+  }
   return out.released;
 }
 
@@ -76,7 +196,7 @@ std::size_t ReliableBatchSender::drop_app(std::uint64_t app_id) {
   std::vector<std::shared_ptr<SenderWindow>> windows;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [link, window] : windows_) windows.push_back(window);
+    for (const auto& [key, link] : links_) windows.push_back(link.window);
   }
   std::size_t frames = 0;
   for (const auto& window : windows) {
@@ -87,59 +207,79 @@ std::size_t ReliableBatchSender::drop_app(std::uint64_t app_id) {
   return frames;
 }
 
+std::size_t ReliableBatchSender::teardown_flush() {
+  std::size_t dropped = 0;
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (auto& [key, link] : links_)
+    dropped += drain(lock, key, link, FlushReason::kTeardown).dropped;
+  return dropped;
+}
+
 void ReliableBatchSender::shutdown() {
-  std::uint64_t timer = 0;
+  std::vector<std::uint64_t> timers;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopped_ = true;
-    timer = timer_;
-    timer_ = 0;
-    armed_ = false;
+    for (const auto& [token, armed] : armed_) timers.push_back(armed.timer);
+    armed_.clear();
   }
   // Waits out a callback that is already running; it sees stopped_ and
   // does not re-arm.
-  if (timer != 0) net::Reactor::global().cancel_timer(timer);
+  for (const std::uint64_t timer : timers)
+    net::Reactor::global().cancel_timer(timer);
 }
 
-void ReliableBatchSender::arm_locked() {
-  if (armed_ || stopped_) return;
-  std::uint64_t next = 0;
-  for (const auto& [link, window] : windows_) {
-    const std::uint64_t deadline = window->next_deadline();
-    if (deadline != 0 && (next == 0 || deadline < next)) next = deadline;
-  }
-  if (next == 0) return;  // nothing in flight, no timer needed
+void ReliableBatchSender::arm_locked(std::uint64_t due) {
+  if (stopped_ || due == 0) return;
+  for (const auto& [token, armed] : armed_)
+    if (armed.due <= due) return;
   const std::uint64_t now = now_micros();
-  armed_ = true;
-  timer_ = net::Reactor::global().schedule_timer(
-      next > now ? static_cast<TimeMicros>(next - now) : TimeMicros{1},
-      [this] { fire(); });
+  const std::uint64_t token = next_token_++;
+  armed_[token] = Armed{
+      net::Reactor::global().schedule_timer(
+          due > now ? static_cast<TimeMicros>(due - now) : TimeMicros{1},
+          [this, token] { fire(token); }),
+      due};
 }
 
-void ReliableBatchSender::fire() {
+void ReliableBatchSender::fire(std::uint64_t token) {
   std::vector<std::pair<BatchLink, std::shared_ptr<SenderWindow>>> windows;
+  std::vector<BatchLink> parked;
+  const std::uint64_t now = now_micros();
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    armed_ = false;
-    timer_ = 0;
+    armed_.erase(token);
     if (stopped_) return;
-    windows.assign(windows_.begin(), windows_.end());
+    for (const auto& [key, link] : links_) {
+      windows.emplace_back(key, link.window);
+      if (link.retry_at != 0 && link.retry_at <= now) parked.push_back(key);
+    }
   }
-  const std::uint64_t now = now_micros();
-  for (const auto& [link, window] : windows) {
+  for (const auto& [key, window] : windows) {
     const std::vector<Retransmit> due = window->take_due(now);
     if (due.empty()) continue;
     // Resolved at fire time, so a resend after a reconnect takes the fresh
     // connection.
-    Connection* conn = resolve_(link);
+    Connection* conn = resolve_(key);
     if (conn == nullptr || !conn->alive()) continue;
     for (const Retransmit& r : due) {
       instruments_.retransmits.increment();
       (void)conn->notify(proto::OpCode::kMpiBatch, r.wire);
     }
   }
-  std::lock_guard<std::mutex> lock(mutex_);
-  arm_locked();
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (const BatchLink& key : parked)
+    (void)drain(lock, key, links_.at(key), FlushReason::kInterval);
+  // Re-arm for whatever is still in flight or parked.
+  std::uint64_t next = 0;
+  const auto consider = [&next](std::uint64_t due) {
+    if (due != 0 && (next == 0 || due < next)) next = due;
+  };
+  for (const auto& [key, link] : links_) {
+    consider(link.window->next_deadline());
+    consider(link.retry_at);
+  }
+  arm_locked(next);
 }
 
 void ReliableBatchSender::add_inflight(std::int64_t bytes) {

@@ -2,38 +2,59 @@
 //
 // Every MPI message that leaves a node or crosses a site rides a kMpiBatch
 // envelope identified by (origin, seq). The two halves below are the only
-// implementation of that stream's reliability:
+// implementation of that stream:
 //
-//   ReliableBatchSender    stamps each batch with the link's next seq,
-//                          tracks it in the link's SenderWindow, resends
-//                          it from one reactor RTO timer until a
-//                          kMpiBatchAck covers it, and applies those acks
-//                          (origin check, RTT samples, in-flight gauge).
+//   ReliableBatchSender    queues frames per link in two priority lanes,
+//                          drains them greedily into batches capped by the
+//                          link's congestion budget, stamps each batch with
+//                          the link's next seq, tracks it in the link's
+//                          SenderWindow and resends it until a
+//                          kMpiBatchAck covers it. A link with no live
+//                          connection or a full window parks its queue. One
+//                          reactor timer serves both the RTO resends and
+//                          the parked-queue retries.
 //   ReliableBatchReceiver  drops duplicate batches whole (dedup window) and
 //                          answers every arrival, duplicates included, with
 //                          the kMpiBatchAck of its origin's coverage.
 //
 // A proxy sends down site links (to peer proxies) and node links (to its
 // node agents); a node agent sends down its one link to the site proxy.
-// Windows outlive connections: a batch tracked before a reconnect is
-// retransmitted on whatever connection the caller's resolver returns.
+// Queues and windows outlive connections: the caller's resolver names the
+// link's connection at drain and retransmit time, so a reconnect is picked
+// up without telling the sender.
 #pragma once
 
 #include <compare>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
+#include "common/clock.hpp"
 #include "proto/messages.hpp"
 #include "proxy/batch_window.hpp"
 #include "proxy/connection.hpp"
+#include "proxy/metrics.hpp"
 #include "proxy/sender_window.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace pg::proxy {
+
+/// Payload-byte budget of one kMpiBatch envelope (a lone larger frame
+/// still goes out alone).
+inline constexpr std::size_t kBatchMaxBytes = 256 * 1024;
+/// Frame budget of one kMpiBatch envelope.
+inline constexpr std::size_t kBatchMaxFrames = 64;
+/// Frames with payloads at or under this ride the latency lane and drain
+/// ahead of bulk frames on the same link (a barrier never queues behind a
+/// 16 MiB transfer).
+inline constexpr std::size_t kLatencyLaneBytes = 4096;
+/// Default retry period of a parked queue.
+inline constexpr TimeMicros kDefaultRetryInterval = 2000;
 
 /// Which class of link a sender window serves.
 enum class LinkKind : std::uint8_t { kSite, kNode };
@@ -47,7 +68,15 @@ struct BatchLink {
   friend auto operator<=>(const BatchLink&, const BatchLink&) = default;
 };
 
-/// Where a sender reports its reliability work.
+/// One kMpiBatch envelope the sender put on the wire.
+struct BatchFlush {
+  FlushReason reason = FlushReason::kImmediate;
+  std::size_t frames = 0;
+  std::size_t latency_frames = 0;  // frames that rode the latency lane
+  std::size_t bytes = 0;           // frame payload bytes
+};
+
+/// Where a sender reports its work.
 struct BatchSenderInstruments {
   /// Batches resent after an RTO (pg_mpi_retransmit_total).
   telemetry::Counter& retransmits;
@@ -55,17 +84,21 @@ struct BatchSenderInstruments {
   telemetry::Histogram& ack_rtt;
   /// Unacknowledged wire bytes across all windows; optional.
   telemetry::Gauge* inflight_bytes = nullptr;
+  /// Called after each envelope is sent (not for retransmits); optional.
+  std::function<void(const BatchLink&, const BatchFlush&)> flushed = nullptr;
 };
 
 class ReliableBatchSender {
  public:
   /// Returns the link's current connection, or null when it has none.
-  /// Called outside the sender's lock, at retransmit time.
+  /// Called outside the sender's lock, at drain and retransmit time.
   using Resolve = std::function<Connection*(const BatchLink&)>;
 
   /// `origin` is this process's batch identity (see proto::MpiBatch).
+  /// A parked queue is retried `retry_interval` after it parked.
   ReliableBatchSender(std::string origin, SenderWindowConfig config,
-                      Resolve resolve, BatchSenderInstruments instruments);
+                      Resolve resolve, BatchSenderInstruments instruments,
+                      TimeMicros retry_interval = kDefaultRetryInterval);
   ~ReliableBatchSender();
 
   ReliableBatchSender(const ReliableBatchSender&) = delete;
@@ -73,49 +106,97 @@ class ReliableBatchSender {
 
   const SenderWindowConfig& window_config() const { return config_; }
 
-  /// The link's window, created on first use (congestion checks).
+  /// The link's window, created on first use (introspection).
   std::shared_ptr<SenderWindow> window(const BatchLink& link);
 
-  /// Stamps `batch` with this origin and the link's next seq, tracks the
-  /// serialized batch (before sending: the ack may race back on another
-  /// thread), arms the RTO timer and notifies it on `conn`.
-  /// `frames_per_app` maps app_id -> frame count (see SenderWindow::track).
-  Status send(const BatchLink& link, Connection& conn, proto::MpiBatch batch,
-              std::map<std::uint64_t, std::size_t> frames_per_app);
+  /// The one send call. Queues `frames` on the link in order, each in its
+  /// lane, and drains the queue unless another thread already is: an idle
+  /// link sends at once, and frames enqueued together share an envelope
+  /// within the byte and frame budgets. Returns kUnavailable when the link
+  /// has no live connection; the frames then stay parked for a retry.
+  Status enqueue(const BatchLink& link, std::vector<proto::MpiFrame> frames);
 
-  /// Applies a kMpiBatchAck payload that arrived on `link`. Acks for
-  /// another origin (a crafted or replayed stream the receiver dutifully
-  /// acked) and for links without a window are ignored. Returns the number
-  /// of batches released.
+  /// Applies a kMpiBatchAck payload that arrived on `link` and re-drains
+  /// the link's queue if the ack freed window space. Acks for another
+  /// origin (a crafted or replayed stream the receiver dutifully acked)
+  /// and for links without a window are ignored. Returns the number of
+  /// batches released.
   std::size_t on_ack(const BatchLink& link, BytesView payload);
 
   /// Stops retrying an app's frames on every link (SenderWindow::drop_app).
   /// Returns the number of frames dropped.
   std::size_t drop_app(std::uint64_t app_id);
 
-  /// Cancels the RTO timer; nothing re-arms it afterwards and whatever is
-  /// still unacknowledged is never resent.
+  /// Drains every idle queue once more (app close, shutdown). Frames for a
+  /// link without a live connection are dropped, since nobody retries
+  /// them afterwards; returns how many.
+  std::size_t teardown_flush();
+
+  /// Cancels the timer; nothing re-arms it afterwards, so whatever is
+  /// still unacknowledged or parked is never resent.
   void shutdown();
 
  private:
-  /// Arms the one-shot RTO timer for the earliest in-flight deadline. Call
-  /// with mutex_ held; no-op when armed, idle or shut down.
-  void arm_locked();
+  /// One link's queue and window.
+  struct Link {
+    std::shared_ptr<SenderWindow> window;
+    std::deque<proto::MpiFrame> latency;  // payloads <= kLatencyLaneBytes
+    std::deque<proto::MpiFrame> bulk;
+    /// True while one thread drains this queue; concurrent enqueuers just
+    /// append — their frames ride in the drainer's next envelope.
+    bool draining = false;
+    /// Steady-clock retry time of a parked queue; 0 when not parked.
+    std::uint64_t retry_at = 0;
+
+    bool empty() const { return latency.empty() && bulk.empty(); }
+  };
+
+  /// What one drain did.
+  struct Drained {
+    bool link_down = false;   // parked for want of a live connection
+    std::size_t dropped = 0;  // frames a teardown drain discarded
+  };
+
+  /// The link's state, created on first use. Call with mutex_ held.
+  Link& link_locked(const BatchLink& key);
+  /// Unless the queue is empty or another thread already drains it,
+  /// claims it and sends envelopes off its front until it is empty or
+  /// parks. Call with `lock` held; unlocks around every resolve and send.
+  Drained drain(std::unique_lock<std::mutex>& lock, const BatchLink& key,
+                Link& link, FlushReason trigger);
+  /// Stamps, tracks and notifies one envelope on `conn`; returns the
+  /// batch's RTO deadline.
+  std::uint64_t send_chunk(const BatchLink& key, SenderWindow& window,
+                           Connection& conn, std::vector<proto::MpiFrame> chunk,
+                           const BatchFlush& flush);
+  /// Makes sure a timer fires by `due` (steady micros; 0 = nothing due):
+  /// no-op when one due no later is armed already or after shutdown().
+  /// Call with mutex_ held.
+  void arm_locked(std::uint64_t due);
   /// Timer callback: resends every batch whose RTO passed on the link's
   /// current connection (a dead link keeps them armed; backoff paces the
-  /// retries until it revives or the app closes), then re-arms.
-  void fire();
+  /// retries until it revives or the app closes), retries parked queues
+  /// that came due, then re-arms.
+  void fire(std::uint64_t token);
   void add_inflight(std::int64_t bytes);
 
   const std::string origin_;
   const SenderWindowConfig config_;
   const Resolve resolve_;
-  BatchSenderInstruments instruments_;
+  const BatchSenderInstruments instruments_;
+  const std::uint64_t retry_interval_;
 
   std::mutex mutex_;  // after any caller lock, before window locks
-  std::map<BatchLink, std::shared_ptr<SenderWindow>> windows_;
-  std::uint64_t timer_ = 0;  // reactor timer id, 0 when none is armed
-  bool armed_ = false;
+  std::map<BatchLink, Link> links_;  // never erased: references stay valid
+  /// Armed timers by token: {reactor timer id, due time}. Usually one; a
+  /// deadline earlier than every armed one adds another rather than
+  /// cancelling under mutex_ (the callback may be waiting on it).
+  struct Armed {
+    std::uint64_t timer = 0;
+    std::uint64_t due = 0;
+  };
+  std::map<std::uint64_t, Armed> armed_;
+  std::uint64_t next_token_ = 1;
   bool stopped_ = false;
 };
 

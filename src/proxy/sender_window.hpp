@@ -31,9 +31,9 @@ namespace pg::proxy {
 struct SenderWindowConfig {
   std::uint64_t rto_initial_micros = 50'000;
   std::uint64_t rto_max_micros = 2'000'000;
-  /// AIMD flush-budget bounds. `budget_max_bytes` is the proxy's configured
-  /// mpi_inflight_max_bytes; the budget never shrinks below the floor so a
-  /// lossy link still makes progress one small chunk at a time.
+  /// AIMD flush-budget bounds: the budget starts at and never grows past
+  /// the ceiling, and never shrinks below the floor so a lossy link still
+  /// makes progress one small chunk at a time.
   std::size_t budget_floor_bytes = 4096;
   std::size_t budget_max_bytes = 1024 * 1024;
 };
@@ -69,8 +69,9 @@ class SenderWindow {
   }
 
   /// Tracks a transmitted batch. `frames_per_app` maps app_id -> frame
-  /// count, for accounting when apps close under the batch.
-  void track(std::uint64_t seq, Bytes wire,
+  /// count, for accounting when apps close under the batch. Returns the
+  /// batch's retransmit deadline.
+  std::uint64_t track(std::uint64_t seq, Bytes wire,
              std::map<std::uint64_t, std::size_t> frames_per_app,
              std::uint64_t now_micros) {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -80,8 +81,10 @@ class SenderWindow {
     e.frames_per_app = std::move(frames_per_app);
     e.sent_micros = now_micros;
     e.deadline_micros = now_micros + rto_locked();
+    const std::uint64_t deadline = e.deadline_micros;
     inflight_bytes_ += e.bytes;
     entries_.emplace(seq, std::move(e));
+    return deadline;
   }
 
   /// Applies ack coverage: releases every entry with seq <= cumulative or

@@ -71,8 +71,11 @@ std::vector<double> size_buckets_bytes() {
 // -------------------------------------------------------------- registry
 
 MetricRegistry& MetricRegistry::global() {
-  static MetricRegistry registry;
-  return registry;
+  // Intentionally leaked, like Reactor::global(): the reactor's I/O and
+  // timer threads are never joined and may still bump counters while
+  // static destructors run at process exit.
+  static MetricRegistry* registry = new MetricRegistry();
+  return *registry;
 }
 
 namespace {

@@ -584,6 +584,9 @@ TEST(Chaos, RetransmitHealsDroppedDataFrames) {
 // dead (sends park), rank 2's receives gate the rest.
 std::atomic<int> g_lane_phase{0};
 std::atomic<int> g_lane_started{0};
+// Over the per-envelope byte budget, so the bulk frame and the small one
+// cannot share one envelope: the lanes must produce two sends.
+constexpr std::size_t kLaneBulkBytes = proxy::kBatchMaxBytes + 64 * 1024;
 
 TEST(Chaos, LatencyLaneOvertakesParkedBulk) {
   // QoS lanes: a big bulk frame queued FIRST must not head-of-line-block a
@@ -597,7 +600,7 @@ TEST(Chaos, LatencyLaneOvertakesParkedBulk) {
           if (comm.rank() == 1) {
             while (g_lane_phase.load() < 1)
               std::this_thread::sleep_for(std::chrono::milliseconds(1));
-            PG_RETURN_IF_ERROR(comm.send(2, 9, Bytes(64 * 1024, 0xbb)));
+            PG_RETURN_IF_ERROR(comm.send(2, 9, Bytes(kLaneBulkBytes, 0xbb)));
             PG_RETURN_IF_ERROR(comm.send(2, 8, to_bytes("small")));
           } else if (comm.rank() == 2) {
             Result<mpi::MpiMessage> first =
@@ -609,7 +612,7 @@ TEST(Chaos, LatencyLaneOvertakesParkedBulk) {
             Result<mpi::MpiMessage> second =
                 comm.recv_message(mpi::kAnySource, mpi::kAnyTag);
             if (!second.is_ok()) return second.status();
-            if (second.value().payload.size() != 64 * 1024)
+            if (second.value().payload.size() != kLaneBulkBytes)
               return error(ErrorCode::kInternal, "bulk frame lost");
           }
           return Status::ok();
@@ -626,9 +629,6 @@ TEST(Chaos, LatencyLaneOvertakesParkedBulk) {
   builder.add_user("u", "p", {"mpi.run", "status.query"});
   builder.configure_proxy([](proxy::ProxyConfig& config) {
     config.mpi_batch_flush_interval = 50 * kMicrosPerMilli;
-    // Keep the bulk frame over the per-envelope byte budget so the two
-    // frames cannot share one envelope — the lanes must produce two sends.
-    config.mpi_batch_max_bytes = 32 * 1024;
   });
   auto built = builder.build();
   ASSERT_TRUE(built.is_ok()) << built.status().to_string();

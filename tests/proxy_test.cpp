@@ -6,7 +6,9 @@
 
 #include <atomic>
 #include <functional>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "net/memory_channel.hpp"
 #include "proxy/app_routing.hpp"
@@ -225,9 +227,7 @@ TEST(ReliableBatch, SenderAppliesOnlyItsOwnAcks) {
           telemetry::MetricRegistry::global().counter("pg_test_retransmits"),
           telemetry::MetricRegistry::global().histogram("pg_test_ack_rtt")});
   const BatchLink link{LinkKind::kNode, "b"};
-  ASSERT_TRUE(batch_sender
-                  .send(link, *pair.a, one_frame_batch(7), {{7, 1}})
-                  .is_ok());
+  ASSERT_TRUE(batch_sender.enqueue(link, one_frame_batch(7).frames).is_ok());
   proto::MpiBatchAck ack;
   ack.origin = "someone-else";
   ack.cumulative = 1;
@@ -240,6 +240,165 @@ TEST(ReliableBatch, SenderAppliesOnlyItsOwnAcks) {
   batch_sender.shutdown();
   pair.a->close();
   pair.b->close();
+}
+
+/// A ReliableBatchSender whose link "b" resolves to `live` (null: no
+/// connection), with every kMpiBatch frame arriving at the far end and
+/// every flushed envelope recorded in order.
+class UnifiedSender {
+ public:
+  explicit UnifiedSender(SenderWindowConfig config = {},
+                         TimeMicros retry_interval = 5 * kMicrosPerMilli)
+      : pair_(make_conn_pair(null_handler(),
+                             [this](const proto::Envelope& env, Connection&) {
+                               record_arrival(env);
+                             })),
+        sender_(
+            "a", config, [this](const BatchLink&) { return live_.load(); },
+            BatchSenderInstruments{
+                telemetry::MetricRegistry::global().counter(
+                    "pg_test_retransmits"),
+                telemetry::MetricRegistry::global().histogram(
+                    "pg_test_ack_rtt"),
+                nullptr,
+                [this](const BatchLink&, const BatchFlush& flush) {
+                  std::lock_guard<std::mutex> lock(mutex_);
+                  flushes_.push_back(flush);
+                }},
+            retry_interval) {}
+
+  ~UnifiedSender() {
+    sender_.shutdown();
+    pair_.a->close();
+    pair_.b->close();
+  }
+
+  static proto::MpiFrame frame(std::int32_t tag, std::size_t bytes = 8) {
+    proto::MpiFrame out;
+    out.app_id = 7;
+    out.tag = tag;
+    out.dst_ranks = {1};
+    out.payload = Bytes(bytes, 0xab);
+    return out;
+  }
+
+  Status enqueue(std::vector<proto::MpiFrame> frames) {
+    return sender_.enqueue(link_, std::move(frames));
+  }
+  Status enqueue(proto::MpiFrame one) {
+    std::vector<proto::MpiFrame> frames;
+    frames.push_back(std::move(one));
+    return enqueue(std::move(frames));
+  }
+
+  void go_live() { live_ = pair_.a.get(); }
+  ReliableBatchSender& sender() { return sender_; }
+  const BatchLink& link() const { return link_; }
+
+  /// Tags of the frames that reached the far end, in arrival order.
+  std::vector<std::int32_t> arrived() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return arrived_;
+  }
+  std::vector<BatchFlush> flushes() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return flushes_;
+  }
+
+ private:
+  void record_arrival(const proto::Envelope& env) {
+    if (env.op != proto::OpCode::kMpiBatch) return;
+    Result<proto::MpiBatch> batch = proto::MpiBatch::parse(env.payload);
+    ASSERT_TRUE(batch.is_ok());
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const proto::MpiFrame& f : batch.value().frames)
+      arrived_.push_back(f.tag);
+  }
+
+  ConnPair pair_;
+  std::atomic<Connection*> live_{nullptr};
+  std::mutex mutex_;
+  std::vector<std::int32_t> arrived_;
+  std::vector<BatchFlush> flushes_;
+  const BatchLink link_{LinkKind::kNode, "b"};
+  ReliableBatchSender sender_;
+};
+
+TEST(ReliableBatch, ParkedFramesFlushInOrderOnTimerRetry) {
+  UnifiedSender s;
+  for (std::int32_t tag = 1; tag <= 3; ++tag)
+    EXPECT_EQ(s.enqueue(UnifiedSender::frame(tag)).code(),
+              ErrorCode::kUnavailable);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_TRUE(s.arrived().empty());
+  EXPECT_TRUE(s.flushes().empty());
+
+  s.go_live();
+  ASSERT_TRUE(eventually([&] { return s.arrived().size() == 3; }));
+  EXPECT_EQ(s.arrived(), (std::vector<std::int32_t>{1, 2, 3}));
+  const std::vector<BatchFlush> flushes = s.flushes();
+  ASSERT_EQ(flushes.size(), 1u);
+  EXPECT_EQ(flushes[0].reason, FlushReason::kInterval);
+  EXPECT_EQ(flushes[0].frames, 3u);
+}
+
+TEST(ReliableBatch, FullWindowQueueDrainsWhenAckFreesSpace) {
+  // A 64-byte budget that one 100-byte frame already fills; the RTO and
+  // the parked-queue retry are far away, so only an ack can move the queue.
+  SenderWindowConfig config;
+  config.budget_floor_bytes = 64;
+  config.budget_max_bytes = 64;
+  config.rto_initial_micros = 60 * kMicrosPerSecond;
+  config.rto_max_micros = 60 * kMicrosPerSecond;
+  UnifiedSender s(config, 60 * kMicrosPerSecond);
+  s.go_live();
+  ASSERT_TRUE(s.enqueue(UnifiedSender::frame(1, 100)).is_ok());
+  ASSERT_TRUE(s.enqueue(UnifiedSender::frame(2, 100)).is_ok());
+  ASSERT_TRUE(eventually([&] { return s.arrived().size() == 1; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(s.arrived(), (std::vector<std::int32_t>{1}));
+
+  proto::MpiBatchAck ack;
+  ack.origin = "a";
+  ack.cumulative = 1;
+  EXPECT_EQ(s.sender().on_ack(s.link(), ack.serialize()), 1u);
+  ASSERT_TRUE(eventually([&] { return s.arrived().size() == 2; }));
+  EXPECT_EQ(s.arrived(), (std::vector<std::int32_t>{1, 2}));
+  const std::vector<BatchFlush> flushes = s.flushes();
+  ASSERT_EQ(flushes.size(), 2u);
+  EXPECT_EQ(flushes[0].reason, FlushReason::kImmediate);
+  EXPECT_EQ(flushes[1].reason, FlushReason::kWindow);
+}
+
+TEST(ReliableBatch, LatencyLaneOvertakesBulkOnParkedLink) {
+  UnifiedSender s;
+  EXPECT_EQ(s.enqueue(UnifiedSender::frame(1, kLatencyLaneBytes + 1)).code(),
+            ErrorCode::kUnavailable);
+  EXPECT_EQ(s.enqueue(UnifiedSender::frame(2, 16)).code(),
+            ErrorCode::kUnavailable);
+  s.go_live();
+  ASSERT_TRUE(eventually([&] { return s.arrived().size() == 2; }));
+  EXPECT_EQ(s.arrived(), (std::vector<std::int32_t>{2, 1}));
+  const std::vector<BatchFlush> flushes = s.flushes();
+  ASSERT_EQ(flushes.size(), 1u);
+  EXPECT_EQ(flushes[0].latency_frames, 1u);
+  EXPECT_EQ(flushes[0].frames, 2u);
+}
+
+TEST(ReliableBatch, TeardownFlushDropsFramesOfDeadLink) {
+  UnifiedSender s(SenderWindowConfig{}, 60 * kMicrosPerSecond);
+  std::vector<proto::MpiFrame> two;
+  two.push_back(UnifiedSender::frame(1));
+  two.push_back(UnifiedSender::frame(2));
+  EXPECT_EQ(s.enqueue(std::move(two)).code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(s.enqueue(UnifiedSender::frame(3, kLatencyLaneBytes + 1)).code(),
+            ErrorCode::kUnavailable);
+  EXPECT_EQ(s.sender().teardown_flush(), 3u);
+  EXPECT_EQ(s.sender().teardown_flush(), 0u);
+  EXPECT_TRUE(s.flushes().empty());
+  s.go_live();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_TRUE(s.arrived().empty());
 }
 
 TEST(AppRouting, PlacementLookups) {

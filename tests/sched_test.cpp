@@ -105,8 +105,11 @@ TEST(LoadBalanced, PrefersFastNodes) {
 
 TEST(LoadBalanced, SpreadsAcrossEqualNodes) {
   std::vector<monitor::GridNode> nodes;
-  for (int i = 0; i < 4; ++i)
-    nodes.push_back(make_node("siteA", "n" + std::to_string(i)));
+  for (int i = 0; i < 4; ++i) {
+    std::string name = "n";
+    name += std::to_string(i);
+    nodes.push_back(make_node("siteA", name));
+  }
   auto scheduler = make_load_balanced_scheduler();
   const auto result = scheduler->assign(nodes, 8, {});
   ASSERT_TRUE(result.is_ok());

@@ -114,7 +114,8 @@ TEST(Stress, MixedWorkloadMpiTunnelsStatus) {
   });
   std::thread fs_thread([&] {
     for (int i = 0; i < 10; ++i) {
-      const std::string name = "f" + std::to_string(i);
+      std::string name = "f";
+      name += std::to_string(i);
       if (!fs0.value()->put(token.value(), "u", "site1", name,
                             Bytes(100, static_cast<std::uint8_t>(i)))
                .is_ok())
