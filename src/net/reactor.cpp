@@ -629,4 +629,28 @@ void Reactor::io_loop(std::size_t index) {
   }
 }
 
+PeriodicTimer::PeriodicTimer(TimeMicros interval, std::function<void()> fn)
+    : interval_(interval), fn_(std::move(fn)) {
+  if (interval_ > 0) arm();
+}
+
+void PeriodicTimer::arm() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (stopped_) return;
+  timer_ = Reactor::global().schedule_timer(interval_, [this] {
+    fn_();
+    arm();
+  });
+}
+
+void PeriodicTimer::stop() {
+  Reactor::TimerId timer = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopped_ = true;
+    std::swap(timer, timer_);
+  }
+  if (timer != 0) Reactor::global().cancel_timer(timer);
+}
+
 }  // namespace pg::net

@@ -162,4 +162,29 @@ class Reactor {
   std::atomic<std::uint64_t> wakeups_{0};
 };
 
+/// A self-rearming timer on the global reactor: runs `fn` every `interval`
+/// until stop() or destruction. Inert when `interval` <= 0. Holds no thread
+/// between ticks.
+class PeriodicTimer {
+ public:
+  PeriodicTimer(TimeMicros interval, std::function<void()> fn);
+  ~PeriodicTimer() { stop(); }
+
+  PeriodicTimer(const PeriodicTimer&) = delete;
+  PeriodicTimer& operator=(const PeriodicTimer&) = delete;
+
+  /// Cancels the timer; a tick already running finishes first (unless
+  /// stop() is called from it) and does not re-arm. Idempotent.
+  void stop();
+
+ private:
+  void arm();
+
+  const TimeMicros interval_;
+  const std::function<void()> fn_;
+  std::mutex mutex_;
+  bool stopped_ = false;         // guarded by mutex_
+  Reactor::TimerId timer_ = 0;   // guarded by mutex_
+};
+
 }  // namespace pg::net

@@ -122,7 +122,7 @@ class Connection {
   Status close_reason() const;
   /// steady_micros() timestamp of the last envelope received from the peer
   /// (connection construction time before any traffic). Feeds the
-  /// heartbeat-based liveness check in ProxyServer.
+  /// heartbeat-based liveness check in PeerTable.
   TimeMicros last_activity() const {
     return last_activity_.load(std::memory_order_relaxed);
   }

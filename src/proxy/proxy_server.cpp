@@ -7,7 +7,6 @@
 
 #include "common/logging.hpp"
 #include "common/serde.hpp"
-#include "net/reactor.hpp"
 #include "telemetry/trace.hpp"
 
 namespace pg::proxy {
@@ -61,12 +60,19 @@ ProxyServer::ProxyServer(ProxyConfig config)
       job_workers_(std::max<std::uint32_t>(1, config_.job_workers)),
       job_manager_(job_workers_, *config_.clock),
       instruments_(config_.site),
+      links_(
+          config_.site, instruments_,
+          [this](const BatchLink& link, const Status& reason) {
+            if (link.kind == LinkKind::kSite) {
+              on_peer_down(link.name, reason);
+            } else {
+              on_node_down(link.name, reason);
+            }
+          },
+          config_.heartbeat_interval, config_.heartbeat_miss_threshold),
       batch_sender_(
           config_.site, window_config(config_),
-          [this](const BatchLink& link) {
-            return link.kind == LinkKind::kSite ? peer_connection(link.name)
-                                                : node_connection(link.name);
-          },
+          [this](const BatchLink& link) { return links_.get(link); },
           BatchSenderInstruments{
               instruments_.mpi_retransmits, instruments_.mpi_ack_rtt_micros,
               &instruments_.mpi_inflight_bytes,
@@ -86,11 +92,9 @@ ProxyServer::ProxyServer(ProxyConfig config)
                 instruments_.lane_flush(flush.latency_frames > 0,
                                         flush.latency_frames < flush.frames);
               }},
-          config_.mpi_batch_flush_interval) {
-  if (config_.heartbeat_interval > 0) schedule_heartbeat();
-  if (config_.shards > 1 && config_.shard_gossip_interval > 0)
-    schedule_shard_gossip();
-}
+          config_.mpi_batch_flush_interval),
+      shard_gossip_(config_.shards > 1 ? config_.shard_gossip_interval : 0,
+                    [this] { shard_gossip_fire(); }) {}
 
 ProxyServer::~ProxyServer() { shutdown(); }
 
@@ -98,14 +102,29 @@ tls::GsslConfig ProxyServer::gssl_config(
     const std::string& expected_peer) const {
   tls::GsslConfig cfg{config_.identity, config_.ca_name, config_.ca_key,
                       expected_peer};
-  if (config_.session_resumption) {
-    // Both roles on every tunnel: accepting sides honour tickets, dialing
-    // sides present them — so auto-reconnect after a link purge is
-    // resumption-first regardless of which end re-dials.
-    cfg.resumption = &resumption_keeper_;
-    cfg.resumption_store = &resumption_store_;
-  }
+  // Both roles on every tunnel: accepting sides honour tickets, dialing
+  // sides present them — so auto-reconnect after a link purge is
+  // resumption-first regardless of which end re-dials.
+  cfg.resumption = &resumption_keeper_;
+  cfg.resumption_store = &resumption_store_;
   return cfg;
+}
+
+Result<tls::MessageLinkPtr> ProxyServer::secure_link(
+    net::Channel& channel, const std::string& expected_peer, bool client) {
+  Rng handshake_rng = [this] {
+    std::lock_guard<std::mutex> lock(rng_mutex_);
+    return Rng(rng_.next_u64());
+  }();
+  const tls::GsslConfig cfg = gssl_config(expected_peer);
+  Result<tls::GsslSessionPtr> session =
+      client ? tls::gssl_client_handshake(channel, cfg, *config_.clock,
+                                          handshake_rng)
+             : tls::gssl_server_handshake(channel, cfg, *config_.clock,
+                                          handshake_rng);
+  if (!session.is_ok()) return session.status();
+  instruments_.handshakes.increment();
+  return tls::make_secure_link(session.take());
 }
 
 // ------------------------------------------------------------ composition
@@ -117,101 +136,39 @@ void ProxyServer::add_node_stats(monitor::NodeStatsSourcePtr source) {
 Status ProxyServer::attach_node(const std::string& node_name,
                                 net::ChannelPtr channel,
                                 bool force_encrypted) {
-  const bool encrypted =
-      force_encrypted || config_.mode == SecurityMode::kPerNodeSecurity;
-
-  tls::MessageLinkPtr link;
-  if (encrypted) {
-    Rng handshake_rng = [this] {
-      std::lock_guard<std::mutex> lock(rng_mutex_);
-      return Rng(rng_.next_u64());
-    }();
-    Result<tls::GsslSessionPtr> session = tls::gssl_server_handshake(
-        *channel, gssl_config(""), *config_.clock, handshake_rng);
-    if (!session.is_ok()) return session.status();
-    link = tls::make_secure_link(session.take());
-    instruments_.handshakes.increment();
-  } else {
-    link = tls::make_plain_link(*channel);
-  }
-
-  auto conn = std::make_unique<Connection>(
-      node_name, std::move(channel), std::move(link), /*initiator=*/false,
-      [this, node_name](const proto::Envelope& env, Connection& c) {
-        handle_node(node_name, env, c);
-      });
-  Connection* raw = conn.get();
-  {
-    std::lock_guard<std::mutex> lock(conns_mutex_);
-    if (nodes_.count(node_name) > 0)
-      return error(ErrorCode::kAlreadyExists,
-                   "node already attached: " + node_name);
-    nodes_[node_name] = std::move(conn);
-  }
-  instruments_.open_connections.add(1);
-  instruments_.shard_owned_keys.add(1);
-  // Set only once the connection is actually kept: a rejected duplicate is
-  // destroyed above without ever firing on_node_down.
-  raw->set_on_close([this, node_name](const Status& reason) {
-    on_node_down(node_name, reason);
-  });
-  raw->start();
-  return Status::ok();
+  Result<tls::MessageLinkPtr> link =
+      force_encrypted || config_.mode == SecurityMode::kPerNodeSecurity
+          ? secure_link(*channel, "", /*client=*/false)
+          : Result<tls::MessageLinkPtr>(tls::make_plain_link(*channel));
+  if (!link.is_ok()) return link.status();
+  const BatchLink key{LinkKind::kNode, node_name};
+  return links_.add(
+      key, std::make_unique<Connection>(
+               node_name, std::move(channel), link.take(),
+               /*initiator=*/false,
+               [this, key](const proto::Envelope& env, Connection& c) {
+                 handle_link(key, env, c);
+               }));
 }
 
 Status ProxyServer::connect_peer(const std::string& peer_site,
                                  net::ChannelPtr channel, bool initiate) {
-  Rng handshake_rng = [this] {
-    std::lock_guard<std::mutex> lock(rng_mutex_);
-    return Rng(rng_.next_u64());
-  }();
+  Result<tls::MessageLinkPtr> link =
+      secure_link(*channel, "proxy." + peer_site, initiate);
+  if (!link.is_ok()) return link.status();
 
-  const std::string expected_subject = "proxy." + peer_site;
-  Result<tls::GsslSessionPtr> session =
-      initiate ? tls::gssl_client_handshake(*channel,
-                                            gssl_config(expected_subject),
-                                            *config_.clock, handshake_rng)
-               : tls::gssl_server_handshake(*channel,
-                                            gssl_config(expected_subject),
-                                            *config_.clock, handshake_rng);
-  if (!session.is_ok()) return session.status();
-  instruments_.handshakes.increment();
-
+  const BatchLink key{LinkKind::kSite, peer_site};
   auto conn = std::make_unique<Connection>(
-      peer_site, std::move(channel),
-      tls::make_secure_link(session.take()), initiate,
-      [this](const proto::Envelope& env, Connection& c) {
-        handle_peer(env, c);
+      peer_site, std::move(channel), link.take(), initiate,
+      [this, key](const proto::Envelope& env, Connection& c) {
+        handle_link(key, env, c);
       });
   // Handler spans finished for traces the peer's side originated flow back
   // over this link, so the origin proxy renders the whole grid operation
   // as one connected trace.
   conn->set_span_export(true, config_.site);
   Connection* raw = conn.get();
-  std::unique_ptr<Connection> retired;
-  {
-    std::lock_guard<std::mutex> lock(conns_mutex_);
-    const auto existing = peers_.find(peer_site);
-    if (existing != peers_.end()) {
-      if (existing->second->alive())
-        return error(ErrorCode::kAlreadyExists,
-                     "peer already connected: " + peer_site);
-      // Reconnection after a failure: retire the dead connection.
-      retired = std::move(existing->second);
-      peers_.erase(existing);
-    }
-    peers_[peer_site] = std::move(conn);
-  }
-  instruments_.open_connections.add(1);
-  // Set only once the connection is actually kept: a rejected duplicate is
-  // destroyed above without ever firing on_peer_down.
-  raw->set_on_close([this, peer_site](const Status& reason) {
-    on_peer_down(peer_site, reason);
-  });
-  // Closing the retired connection must happen outside conns_mutex_ (its
-  // strand may be blocked acquiring it) — same rule as shutdown().
-  if (retired) retired->close();
-  raw->start();
+  PG_RETURN_IF_ERROR(links_.add(key, std::move(conn)));
 
   if (initiate) {
     proto::Hello hello{config_.site, config_.identity.certificate.subject};
@@ -229,35 +186,15 @@ Status ProxyServer::connect_peer(const std::string& peer_site,
   return Status::ok();
 }
 
-std::vector<std::string> ProxyServer::peers() const {
-  std::lock_guard<std::mutex> lock(conns_mutex_);
-  std::vector<std::string> out;
-  out.reserve(peers_.size());
-  for (const auto& [site, conn] : peers_) out.push_back(site);
-  return out;
-}
-
-bool ProxyServer::node_alive(const std::string& node) const {
-  std::lock_guard<std::mutex> lock(conns_mutex_);
-  const auto it = nodes_.find(node);
-  return it != nodes_.end() && it->second->alive();
-}
-
-bool ProxyServer::peer_alive(const std::string& peer_site) const {
-  std::lock_guard<std::mutex> lock(conns_mutex_);
-  const auto it = peers_.find(peer_site);
-  return it != peers_.end() && it->second->alive();
-}
-
 void ProxyServer::disconnect_peer(const std::string& peer_site) {
-  Connection* conn = peer_connection(peer_site);
-  if (conn != nullptr) conn->close();
+  if (Connection* conn = links_.get({LinkKind::kSite, peer_site}))
+    conn->close();
 }
 
 Status ProxyServer::ping_peer(const std::string& peer_site,
                               TimeMicros timeout) {
-  Connection* conn = peer_connection(peer_site);
-  if (conn == nullptr || !conn->alive())
+  Connection* conn = links_.live({LinkKind::kSite, peer_site});
+  if (conn == nullptr)
     return error(ErrorCode::kUnavailable, "no connection to " + peer_site);
   return conn->call(proto::OpCode::kPing, {}, timeout).status();
 }
@@ -268,18 +205,6 @@ std::vector<std::string> ProxyServer::alive_peers(TimeMicros timeout) {
     if (ping_peer(site, timeout).is_ok()) alive.push_back(site);
   }
   return alive;
-}
-
-Connection* ProxyServer::peer_connection(const std::string& site) const {
-  std::lock_guard<std::mutex> lock(conns_mutex_);
-  const auto it = peers_.find(site);
-  return it == peers_.end() ? nullptr : it->second.get();
-}
-
-Connection* ProxyServer::node_connection(const std::string& node) const {
-  std::lock_guard<std::mutex> lock(conns_mutex_);
-  const auto it = nodes_.find(node);
-  return it == nodes_.end() ? nullptr : it->second.get();
 }
 
 // ----------------------------------------------------------------- login
@@ -311,8 +236,7 @@ proto::StatusReport ProxyServer::local_status() {
   // unreachable; dead nodes are not advertised (schedulers then route
   // around them — part of the paper's failure-containment story).
   std::erase_if(report.nodes, [this](const proto::NodeStatus& node) {
-    Connection* conn = node_connection(node.name);
-    return conn == nullptr || !conn->alive();
+    return links_.live({LinkKind::kNode, node.name}) == nullptr;
   });
   return report;
 }
@@ -334,8 +258,7 @@ Result<std::vector<proto::StatusReport>> ProxyServer::query_status(
       reports.push_back(local_status());
       continue;
     }
-    Connection* conn = peer_connection(target);
-    if (conn == nullptr || !conn->alive()) {
+    if (links_.live({LinkKind::kSite, target}) == nullptr) {
       PG_WARN << config_.site << ": site " << target
               << " unreachable for status query";
       continue;  // distributed control: one dead site costs only itself
@@ -382,12 +305,8 @@ std::size_t ProxyServer::push_status_to_peers() {
   const Bytes report = local_status().serialize();
   std::size_t pushed = 0;
   for (const auto& peer : peers()) {
-    Connection* conn = peer_connection(peer);
-    if (conn == nullptr || !conn->alive()) continue;
-    if (conn->notify(proto::OpCode::kStatusReport, report).is_ok()) {
+    if (notify_peer(peer, proto::OpCode::kStatusReport, report).is_ok())
       ++pushed;
-      instruments_.control_notifies_sent.increment();
-    }
   }
   return pushed;
 }
@@ -505,7 +424,7 @@ AppRunResult ProxyServer::run_app(const std::string& user, BytesView token,
     close_app_locally(routing.app_id);
     const proto::MpiClose close_msg{routing.app_id};
     for (const auto& site_name : opened_remote) {
-      if (Connection* conn = peer_connection(site_name)) {
+      if (Connection* conn = links_.get({LinkKind::kSite, site_name})) {
         (void)conn->notify(proto::OpCode::kMpiClose, close_msg.serialize());
       }
     }
@@ -521,9 +440,9 @@ AppRunResult ProxyServer::run_app(const std::string& user, BytesView token,
   for (const auto& site_name : involved) {
     if (site_name == config_.site) {
       start_app_locally(routing.app_id);
-    } else if (Connection* conn = peer_connection(site_name)) {
-      instruments_.control_notifies_sent.increment();
-      (void)conn->notify(proto::OpCode::kMpiStart, start_msg.serialize());
+    } else {
+      (void)notify_peer(site_name, proto::OpCode::kMpiStart,
+                        start_msg.serialize());
     }
   }
 
@@ -551,12 +470,9 @@ AppRunResult ProxyServer::run_app(const std::string& user, BytesView token,
   // Teardown everywhere.
   close_app_locally(routing.app_id);
   const proto::MpiClose close_msg{routing.app_id};
-  for (const auto& site_name : opened_remote) {
-    if (Connection* conn = peer_connection(site_name)) {
-      instruments_.control_notifies_sent.increment();
-      (void)conn->notify(proto::OpCode::kMpiClose, close_msg.serialize());
-    }
-  }
+  for (const auto& site_name : opened_remote)
+    (void)notify_peer(site_name, proto::OpCode::kMpiClose,
+                      close_msg.serialize());
 
   instruments_.apps_run.increment();
   result.exit_code = exit_code;
@@ -605,11 +521,13 @@ Status ProxyServer::open_app_locally(const AppRouting& routing,
   const TimeMicros node_budget =
       config_.retry.per_try_timeout * (config_.retry.max_attempts + 1);
   for (const auto& node : my_nodes) {
-    Connection* conn = node_connection(node);
-    if (conn == nullptr)
+    const BatchLink link{LinkKind::kNode, node};
+    if (links_.get(link) == nullptr)
       return error(ErrorCode::kNotFound, "no such node: " + node);
-    Result<proto::Envelope> ack =
-        call_node(node, proto::OpCode::kMpiOpen, open.serialize(), node_budget);
+    // Node round trips are intra-site: retried like peer calls but not
+    // counted as inter-proxy control traffic.
+    Result<proto::Envelope> ack = call_with_retry(
+        link, proto::OpCode::kMpiOpen, open.serialize(), node_budget);
     if (!ack.is_ok()) return ack.status();
     Result<proto::MpiOpenAck> parsed =
         proto::MpiOpenAck::parse(ack.value().payload);
@@ -637,7 +555,7 @@ void ProxyServer::start_app_locally(std::uint64_t app_id) {
   }
   const proto::MpiClose start_msg{app_id};
   for (const auto& node : my_nodes) {
-    if (Connection* conn = node_connection(node)) {
+    if (Connection* conn = links_.get({LinkKind::kNode, node})) {
       (void)conn->notify(proto::OpCode::kMpiStart, start_msg.serialize());
     }
   }
@@ -654,7 +572,7 @@ void ProxyServer::close_app_locally(std::uint64_t app_id) {
   }
   const proto::MpiClose close_msg{app_id};
   for (const auto& node : my_nodes) {
-    if (Connection* conn = node_connection(node)) {
+    if (Connection* conn = links_.get({LinkKind::kNode, node})) {
       (void)conn->notify(proto::OpCode::kMpiClose, close_msg.serialize());
     }
   }
@@ -690,29 +608,50 @@ void ProxyServer::fail_run(std::uint64_t app_id, const Status& reason) {
   runs_cv_.notify_all();
 }
 
+void ProxyServer::abort_run(std::uint64_t app_id,
+                            const std::string& origin_site,
+                            const std::string& why) {
+  if (origin_site.empty()) {
+    fail_run(app_id, error(ErrorCode::kUnavailable, why));
+  } else {
+    (void)notify_peer(origin_site, proto::OpCode::kMpiAbort,
+                      proto::MpiAbort{app_id, why}.serialize());
+  }
+}
+
 // ------------------------------------------------------------- handlers
+
+void ProxyServer::handle_link(const BatchLink& link,
+                              const proto::Envelope& envelope,
+                              Connection& conn) {
+  instruments_.op_received(envelope.op).increment();
+  switch (envelope.op) {
+    case proto::OpCode::kMpiBatch:
+      // Hot path: counters only — no span, no dispatch timer.
+      handle_mpi_batch(envelope, conn);
+      return;
+    case proto::OpCode::kMpiBatchAck:
+      (void)batch_sender_.on_ack(link, envelope.payload);
+      return;
+    case proto::OpCode::kTraceExport:
+      // Plumbing, not a traced operation of its own: import the spans or
+      // keep forwarding them toward the trace origin.
+      handle_trace_export(envelope);
+      return;
+    default:
+      if (link.kind == LinkKind::kSite) {
+        handle_peer(envelope, conn);
+      } else {
+        handle_node(envelope, conn);
+      }
+  }
+}
 
 void ProxyServer::handle_peer(const proto::Envelope& envelope,
                               Connection& conn) {
-  instruments_.op_received(envelope.op).increment();
-  if (envelope.op == proto::OpCode::kMpiBatch) {
-    // Hot path: counters only — no span, no dispatch timer.
-    handle_mpi_batch(envelope, conn);
-    return;
-  }
-  if (envelope.op == proto::OpCode::kMpiBatchAck) {
-    (void)batch_sender_.on_ack({LinkKind::kSite, conn.peer_name()},
-                               envelope.payload);
-    return;
-  }
   if (envelope.op == proto::OpCode::kHeartbeat) {
     // Receipt already refreshed last_activity(); nothing else to do, and
     // no span — heartbeats would drown real traces.
-    return;
-  }
-  if (envelope.op == proto::OpCode::kTraceExport) {
-    // Plumbing, not a traced operation of its own.
-    handle_trace_export(envelope);
     return;
   }
   // Remember which peer foreign traces arrive from; that peer is the next
@@ -781,7 +720,7 @@ void ProxyServer::handle_peer(const proto::Envelope& envelope,
     case proto::OpCode::kTunnelOpen:
     case proto::OpCode::kTunnelData:
     case proto::OpCode::kTunnelClose:
-      handle_tunnel_from_peer(envelope, conn);
+      handle_tunnel(envelope, conn);
       return;
     default: {
       const Status dispatched = dispatch_extension(envelope, conn);
@@ -793,25 +732,8 @@ void ProxyServer::handle_peer(const proto::Envelope& envelope,
   }
 }
 
-void ProxyServer::handle_node(const std::string& node,
-                              const proto::Envelope& envelope,
+void ProxyServer::handle_node(const proto::Envelope& envelope,
                               Connection& conn) {
-  instruments_.op_received(envelope.op).increment();
-  if (envelope.op == proto::OpCode::kMpiBatch) {
-    // Hot path: counters only — no dispatch timer.
-    handle_mpi_batch(envelope, conn);
-    return;
-  }
-  if (envelope.op == proto::OpCode::kMpiBatchAck) {
-    (void)batch_sender_.on_ack({LinkKind::kNode, node}, envelope.payload);
-    return;
-  }
-  if (envelope.op == proto::OpCode::kTraceExport) {
-    // Node agents export spans of foreign traces to their proxy, which
-    // imports or keeps forwarding them toward the trace origin.
-    handle_trace_export(envelope);
-    return;
-  }
   telemetry::ScopedTimer dispatch_timer(instruments_.dispatch_micros);
   switch (envelope.op) {
     case proto::OpCode::kPing:
@@ -823,13 +745,14 @@ void ProxyServer::handle_node(const std::string& node,
     case proto::OpCode::kTunnelOpen:
     case proto::OpCode::kTunnelData:
     case proto::OpCode::kTunnelClose:
-      handle_tunnel_from_node(node, envelope, conn);
+      handle_tunnel(envelope, conn);
       return;
     default: {
       const Status dispatched = dispatch_extension(envelope, conn);
       if (!dispatched.is_ok()) {
         PG_WARN << config_.site << ": unhandled node op "
-                << proto::opcode_name(envelope.op) << " from " << node;
+                << proto::opcode_name(envelope.op) << " from "
+                << conn.peer_name();
       }
     }
   }
@@ -1001,14 +924,8 @@ void ProxyServer::handle_mpi_done_from_node(const proto::Envelope& envelope) {
       if (it == apps_.end()) return;
       origin_site = it->second.origin_site;
     }
-    const std::string why = "node " + node + " lost mid-run (exit 143)";
-    if (origin_site.empty()) {
-      fail_run(app_id, error(ErrorCode::kUnavailable, why));
-    } else if (Connection* conn = peer_connection(origin_site)) {
-      instruments_.control_notifies_sent.increment();
-      (void)conn->notify(proto::OpCode::kMpiAbort,
-                         proto::MpiAbort{app_id, why}.serialize());
-    }
+    abort_run(app_id, origin_site,
+              "node " + node + " lost mid-run (exit 143)");
     return;
   }
 
@@ -1039,13 +956,13 @@ void ProxyServer::handle_mpi_done_from_node(const proto::Envelope& envelope) {
   if (origin_site.empty()) {
     // We are the origin: our own site is finished.
     site_finished(app_id, config_.site, exit_code);
-  } else if (Connection* conn = peer_connection(origin_site)) {
+  } else {
     proto::JobComplete report;
     report.job_id = app_id;
     report.exit_code = exit_code;
     report.output = to_bytes(config_.site);
-    instruments_.control_notifies_sent.increment();
-    (void)conn->notify(proto::OpCode::kMpiDone, report.serialize());
+    (void)notify_peer(origin_site, proto::OpCode::kMpiDone,
+                      report.serialize());
   }
 }
 
@@ -1227,38 +1144,32 @@ void ProxyServer::relay_async(std::function<void()> work) {
   }
 }
 
-void ProxyServer::handle_tunnel_from_node(const std::string& node,
-                                          const proto::Envelope& envelope,
-                                          Connection& conn) {
+void ProxyServer::handle_tunnel(const proto::Envelope& envelope,
+                                Connection& conn) {
   PG_DEBUG << config_.site << ": tunnel op " << proto::opcode_name(envelope.op)
-           << " from " << node;
-  // Remember where each tunnel points so TunnelData (which carries only the
-  // tunnel id) can be routed.
+           << " from " << conn.peer_name();
+  std::uint64_t tunnel_id = 0;
   if (envelope.op == proto::OpCode::kTunnelOpen) {
     Result<proto::TunnelOpen> open =
         proto::TunnelOpen::parse(envelope.payload);
     if (!open.is_ok()) return;
+    tunnel_id = open.value().tunnel_id;
+    // Remember where each tunnel points so TunnelData (which carries only
+    // the tunnel id) can be routed.
     std::lock_guard<std::mutex> lock(tunnels_mutex_);
-    if (tunnels_.insert_or_assign(open.value().tunnel_id, open.value()).second)
+    if (tunnels_.insert_or_assign(tunnel_id, open.take()).second)
       instruments_.open_tunnels.add(1);
-  }
-
-  std::uint64_t tunnel_id = 0;
-  if (envelope.op == proto::OpCode::kTunnelData) {
+  } else if (envelope.op == proto::OpCode::kTunnelData) {
     Result<proto::TunnelData> data =
         proto::TunnelData::parse(envelope.payload);
     if (!data.is_ok()) return;
     tunnel_id = data.value().tunnel_id;
     instruments_.tunnel_bytes_relayed.increment(data.value().payload.size());
-  } else if (envelope.op == proto::OpCode::kTunnelClose) {
+  } else {
     Result<proto::TunnelClose> close_msg =
         proto::TunnelClose::parse(envelope.payload);
     if (!close_msg.is_ok()) return;
     tunnel_id = close_msg.value().tunnel_id;
-  } else {
-    Result<proto::TunnelOpen> open =
-        proto::TunnelOpen::parse(envelope.payload);
-    tunnel_id = open.value().tunnel_id;
   }
 
   proto::TunnelOpen route;
@@ -1279,14 +1190,14 @@ void ProxyServer::handle_tunnel_from_node(const std::string& node,
       instruments_.open_tunnels.add(-1);
     }
   }
-  (void)node;
 
   instruments_.tunnels_relayed.increment();
 
   // Resolve the next hop: a node of this site, or the target site's proxy.
-  Connection* next = route.target_site == config_.site
-                         ? node_connection(route.target_node)
-                         : peer_connection(route.target_site);
+  Connection* next =
+      links_.get(route.target_site == config_.site
+                     ? BatchLink{LinkKind::kNode, route.target_node}
+                     : BatchLink{LinkKind::kSite, route.target_site});
   if (next == nullptr) {
     (void)conn.respond(
         envelope, proto::OpCode::kError,
@@ -1322,13 +1233,6 @@ void ProxyServer::handle_tunnel_from_node(const std::string& node,
     (void)conn.respond(request, response.value().op,
                        response.value().payload);
   });
-}
-
-void ProxyServer::handle_tunnel_from_peer(const proto::Envelope& envelope,
-                                          Connection& conn) {
-  // At the destination site the relay logic is identical: record the route
-  // on open, forward toward the target node.
-  handle_tunnel_from_node(conn.peer_name(), envelope, conn);
 }
 
 // ------------------------------------------------------------ span export
@@ -1383,8 +1287,8 @@ void ProxyServer::handle_trace_export(const proto::Envelope& envelope) {
     // bounded, so very old traces can age out of it).
   }
   for (auto& [site, spans] : forward) {
-    Connection* conn = peer_connection(site);
-    if (conn == nullptr || !conn->alive()) continue;
+    Connection* conn = links_.live({LinkKind::kSite, site});
+    if (conn == nullptr) continue;
     proto::TraceExport out;
     out.exporter_site = parsed.value().exporter_site;
     out.spans = std::move(spans);
@@ -1424,9 +1328,11 @@ Status ProxyServer::dispatch_extension(const proto::Envelope& envelope,
   return handler(envelope, conn);
 }
 
-Result<proto::Envelope> ProxyServer::call_with_retry(
-    const std::function<Connection*()>& resolve, const std::string& target,
-    proto::OpCode op, BytesView payload, TimeMicros timeout) {
+Result<proto::Envelope> ProxyServer::call_with_retry(const BatchLink& link,
+                                                     proto::OpCode op,
+                                                     BytesView payload,
+                                                     TimeMicros timeout) {
+  const std::string& target = link.name;
   const RetryPolicy& policy = config_.retry;
   const TimeMicros deadline = steady_micros() + timeout;
   // Jitter salt: deterministic per (target, op) stream, no RNG plumbing.
@@ -1436,8 +1342,8 @@ Result<proto::Envelope> ProxyServer::call_with_retry(
   Connection* id_conn = nullptr;
   std::uint64_t request_id = 0;
   for (std::uint32_t attempt = 1;; ++attempt) {
-    Connection* conn = resolve();
-    if (conn == nullptr || !conn->alive()) {
+    Connection* conn = links_.live(link);
+    if (conn == nullptr) {
       last = error(ErrorCode::kUnavailable, "no connection to " + target);
     } else {
       const TimeMicros remaining = deadline - steady_micros();
@@ -1482,24 +1388,13 @@ Result<proto::Envelope> ProxyServer::call_peer(const std::string& site,
                                                BytesView payload,
                                                TimeMicros timeout) {
   instruments_.control_calls_sent.increment();
-  return call_with_retry([this, &site] { return peer_connection(site); },
-                         site, op, payload, timeout);
-}
-
-Result<proto::Envelope> ProxyServer::call_node(const std::string& node,
-                                               proto::OpCode op,
-                                               BytesView payload,
-                                               TimeMicros timeout) {
-  // Node round trips are intra-site: retried like peer calls but not
-  // counted as inter-proxy control traffic.
-  return call_with_retry([this, &node] { return node_connection(node); },
-                         node, op, payload, timeout);
+  return call_with_retry({LinkKind::kSite, site}, op, payload, timeout);
 }
 
 Status ProxyServer::notify_peer(const std::string& site, proto::OpCode op,
                                 BytesView payload) {
-  Connection* conn = peer_connection(site);
-  if (conn == nullptr || !conn->alive())
+  Connection* conn = links_.live({LinkKind::kSite, site});
+  if (conn == nullptr)
     return error(ErrorCode::kUnavailable, "no connection to site " + site);
   instruments_.control_notifies_sent.increment();
   return conn->notify(op, payload);
@@ -1507,27 +1402,9 @@ Status ProxyServer::notify_peer(const std::string& site, proto::OpCode op,
 
 ProxyMetrics ProxyServer::metrics() const { return instruments_.snapshot(); }
 
-std::vector<LinkReport> ProxyServer::link_report() const {
-  std::lock_guard<std::mutex> lock(conns_mutex_);
-  std::vector<LinkReport> out;
-  for (const auto& [site, conn] : peers_) {
-    out.push_back(LinkReport{site, true, conn->is_encrypted(),
-                             conn->link_stats()});
-  }
-  for (const auto& [node, conn] : nodes_) {
-    out.push_back(LinkReport{node, false, conn->is_encrypted(),
-                             conn->link_stats()});
-  }
-  return out;
-}
-
 // ------------------------------------------------------------ resilience
 
 void ProxyServer::on_peer_down(const std::string& site, const Status& reason) {
-  instruments_.disconnect(config_.site, site, reason);
-  instruments_.open_connections.add(-1);
-  if (shut_down_.load(std::memory_order_acquire)) return;
-
   // A reconnect may already have replaced the dead connection (this fires
   // from the OLD connection's reader); if a live link exists, there is
   // nothing to purge.
@@ -1584,11 +1461,6 @@ void ProxyServer::on_peer_down(const std::string& site, const Status& reason) {
 }
 
 void ProxyServer::on_node_down(const std::string& node, const Status& reason) {
-  instruments_.disconnect(config_.site, node, reason);
-  instruments_.open_connections.add(-1);
-  instruments_.shard_owned_keys.add(-1);
-  if (shut_down_.load(std::memory_order_acquire)) return;
-
   PG_WARN << config_.site << ": node " << node
           << " down: " << reason.to_string();
 
@@ -1607,16 +1479,8 @@ void ProxyServer::on_node_down(const std::string& node, const Status& reason) {
         affected.push_back({app_id, app.origin_site});
     }
   }
-  for (const auto& app : affected) {
-    const std::string why = "node " + node + " died mid-run";
-    if (app.origin_site.empty()) {
-      fail_run(app.app_id, error(ErrorCode::kUnavailable, why));
-    } else if (Connection* conn = peer_connection(app.origin_site)) {
-      instruments_.control_notifies_sent.increment();
-      (void)conn->notify(proto::OpCode::kMpiAbort,
-                         proto::MpiAbort{app.app_id, why}.serialize());
-    }
-  }
+  for (const auto& app : affected)
+    abort_run(app.app_id, app.origin_site, "node " + node + " died mid-run");
 }
 
 void ProxyServer::handle_shard_status(const proto::Envelope& envelope) {
@@ -1634,90 +1498,24 @@ void ProxyServer::handle_shard_status(const proto::Envelope& envelope) {
                       status.lease_epoch);
 }
 
-void ProxyServer::schedule_shard_gossip() {
-  std::lock_guard<std::mutex> lock(timers_mutex_);
-  if (shut_down_.load(std::memory_order_acquire)) return;
-  shard_gossip_timer_ = net::Reactor::global().schedule_timer(
-      config_.shard_gossip_interval, [this] { shard_gossip_fire(); });
-}
-
 void ProxyServer::shard_gossip_fire() {
-  if (shut_down_.load(std::memory_order_acquire)) return;
   proto::ShardStatus gossip;
   gossip.shard = config_.site;
   gossip.lease_epoch = lease_.epoch();
   gossip.report = local_status();
   const Bytes payload = gossip.serialize();
   for (const auto& sibling : shard_siblings()) {
-    Connection* conn = peer_connection(sibling);
-    if (conn == nullptr || !conn->alive()) continue;
-    if (conn->notify(proto::OpCode::kShardStatus, payload).is_ok()) {
+    if (notify_peer(sibling, proto::OpCode::kShardStatus, payload).is_ok())
       instruments_.shard_status_gossip.increment();
-      instruments_.control_notifies_sent.increment();
-    }
   }
-  schedule_shard_gossip();
-}
-
-void ProxyServer::schedule_heartbeat() {
-  std::lock_guard<std::mutex> lock(timers_mutex_);
-  if (shut_down_.load(std::memory_order_acquire)) return;
-  heartbeat_timer_ = net::Reactor::global().schedule_timer(
-      config_.heartbeat_interval, [this] { heartbeat_fire(); });
-}
-
-void ProxyServer::heartbeat_fire() {
-  if (shut_down_.load(std::memory_order_acquire)) return;
-  const TimeMicros interval = config_.heartbeat_interval;
-  const std::uint32_t threshold =
-      std::max<std::uint32_t>(1, config_.heartbeat_miss_threshold);
-
-  struct Probe {
-    std::string site;
-    TimeMicros idle = 0;
-  };
-  const TimeMicros now = steady_micros();
-  std::vector<Probe> probes;
-  {
-    std::lock_guard<std::mutex> g(conns_mutex_);
-    for (const auto& [site, conn] : peers_) {
-      if (conn->alive())
-        probes.push_back({site, now - conn->last_activity()});
-    }
-  }
-  for (const auto& probe : probes) {
-    if (probe.idle > interval) instruments_.heartbeat_missed.increment();
-    if (probe.idle > interval * threshold) {
-      // Declare the peer dead. close() fires on_peer_down with this
-      // reason, which purges the peer's state.
-      if (Connection* conn = peer_connection(probe.site)) {
-        conn->close(error(ErrorCode::kUnavailable,
-                          "heartbeat timeout: peer silent for " +
-                              std::to_string(probe.idle) + "us"));
-      }
-    } else if (Connection* conn = peer_connection(probe.site)) {
-      (void)conn->notify(proto::OpCode::kHeartbeat, {});
-    }
-  }
-  schedule_heartbeat();
 }
 
 void ProxyServer::shutdown() {
   if (shut_down_.exchange(true)) return;
-  // Cancel the heartbeat timer before touching connections so it cannot
-  // race the close sweep below. cancel_timer waits out a callback that is
-  // already running; heartbeat_fire sees shut_down_ and will not re-arm.
-  std::uint64_t hb_timer = 0;
-  std::uint64_t gossip_timer = 0;
-  {
-    std::lock_guard<std::mutex> lock(timers_mutex_);
-    hb_timer = heartbeat_timer_;
-    heartbeat_timer_ = 0;
-    gossip_timer = shard_gossip_timer_;
-    shard_gossip_timer_ = 0;
-  }
-  if (hb_timer != 0) net::Reactor::global().cancel_timer(hb_timer);
-  if (gossip_timer != 0) net::Reactor::global().cancel_timer(gossip_timer);
+  // Stop the timers and the down reactions before touching connections so
+  // none of them races the close sweep below.
+  shard_gossip_.stop();
+  links_.stop();
 
   // Cancel the data-plane timer (whatever is still unacked dies with the
   // proxy), then push out whatever is still queued while the links are up
@@ -1726,18 +1524,7 @@ void ProxyServer::shutdown() {
   instruments_.frames_dropped(DropReason::kLinkDown,
                               batch_sender_.teardown_flush());
 
-  // Snapshot under the lock but close outside it: close() quiesces the
-  // connection's strand, and a strand mid-handler may itself need
-  // conns_mutex_ (peer_connection/node_connection), so closing while
-  // holding the lock deadlocks shutdown against in-flight dispatch.
-  std::vector<Connection*> open;
-  {
-    std::lock_guard<std::mutex> lock(conns_mutex_);
-    open.reserve(peers_.size() + nodes_.size());
-    for (auto& [site, conn] : peers_) open.push_back(conn.get());
-    for (auto& [node, conn] : nodes_) open.push_back(conn.get());
-  }
-  for (Connection* conn : open) conn->close();
+  links_.close_all();
   job_workers_.shutdown();
   workers_.shutdown();
   runs_cv_.notify_all();

@@ -2,7 +2,8 @@
 // carries ALL grid functionality, so nodes stay untouched.
 //
 // Layer map (paper Figure 2 -> this class):
-//   1 Communication        peer/node Connections, control protocol dispatch
+//   1 Communication        PeerTable (site + node Connections), control
+//                          protocol dispatch
 //   2 Security             GSSL tunnels between sites, host certificates,
 //                          UserAuthenticator (password/signature/ticket),
 //                          per-user/group ACLs, destination-side checks
@@ -33,10 +34,12 @@
 #include "monitor/site_collector.hpp"
 #include "monitor/status_lease.hpp"
 #include "net/channel.hpp"
+#include "net/reactor.hpp"
 #include "proxy/app_routing.hpp"
 #include "proxy/connection.hpp"
 #include "proxy/job_manager.hpp"
 #include "proxy/metrics.hpp"
+#include "proxy/peer_table.hpp"
 #include "proxy/reliable_batch.hpp"
 #include "proxy/resilience.hpp"
 #include "proxy/shard_ring.hpp"
@@ -65,10 +68,6 @@ struct ProxyConfig {
   const Clock* clock = nullptr;
   std::uint64_t rng_seed = 1;
   SecurityMode mode = SecurityMode::kProxyTunneling;
-  /// GSSL session resumption on every tunnel this proxy accepts or dials:
-  /// reconnects (auto-heal, link flaps) skip the RSA handshake via sealed
-  /// tickets under the realm ticket_key. Tickets share ticket_lifetime.
-  bool session_resumption = true;
 
   // ---- resilience knobs (docs/RESILIENCE.md) ----
   /// Retry/deadline policy for control RPCs to peers and nodes.
@@ -113,8 +112,6 @@ struct ProxyConfig {
   /// "<site>#<index>" for the rest. With the default of 1 the proxy
   /// behaves exactly as before sharding existed.
   std::uint32_t shards = 1;
-  /// Virtual nodes per shard on the site's consistent-hash ring.
-  std::size_t ring_vnodes = kDefaultVnodes;
   /// Gossip period for kShardStatus partial reports between sibling
   /// shards; armed only when shards > 1 (0 disables gossip entirely).
   TimeMicros shard_gossip_interval = 250 * 1000;
@@ -161,9 +158,15 @@ class ProxyServer {
   Status connect_peer(const std::string& peer_site, net::ChannelPtr channel,
                       bool initiate);
 
-  std::vector<std::string> peers() const;
-  bool peer_alive(const std::string& peer_site) const;
-  bool node_alive(const std::string& node) const;
+  std::vector<std::string> peers() const {
+    return links_.names(LinkKind::kSite);
+  }
+  bool peer_alive(const std::string& peer_site) const {
+    return links_.live({LinkKind::kSite, peer_site}) != nullptr;
+  }
+  bool node_alive(const std::string& node) const {
+    return links_.live({LinkKind::kNode, node}) != nullptr;
+  }
 
   /// Severs the link to a peer (failure injection). Both ends observe the
   /// closure; pending calls fail with kUnavailable.
@@ -284,7 +287,7 @@ class ProxyServer {
 
   // ---- introspection ------------------------------------------------------
   ProxyMetrics metrics() const;
-  std::vector<LinkReport> link_report() const;
+  std::vector<LinkReport> link_report() const { return links_.report(); }
   monitor::SiteCollector& collector() { return collector_; }
 
   /// True once shutdown() ran (link monitors skip dead proxies).
@@ -312,9 +315,12 @@ class ProxyServer {
   };
 
   // -- handlers (reader threads)
-  void handle_peer(const proto::Envelope& envelope, Connection& conn);
-  void handle_node(const std::string& node, const proto::Envelope& envelope,
+  /// Entry point of every link: the data-plane ops every link carries
+  /// alike, then the per-kind control dispatch below.
+  void handle_link(const BatchLink& link, const proto::Envelope& envelope,
                    Connection& conn);
+  void handle_peer(const proto::Envelope& envelope, Connection& conn);
+  void handle_node(const proto::Envelope& envelope, Connection& conn);
   void handle_hello(const proto::Envelope& envelope, Connection& conn);
   void handle_status_query(const proto::Envelope& envelope, Connection& conn);
   void handle_auth_request(const proto::Envelope& envelope, Connection& conn);
@@ -328,11 +334,9 @@ class ProxyServer {
   void handle_mpi_batch(const proto::Envelope& envelope, Connection& conn);
   void handle_mpi_done_from_node(const proto::Envelope& envelope);
   void handle_mpi_done_from_peer(const proto::Envelope& envelope);
-  void handle_tunnel_from_node(const std::string& node,
-                               const proto::Envelope& envelope,
-                               Connection& conn);
-  void handle_tunnel_from_peer(const proto::Envelope& envelope,
-                               Connection& conn);
+  /// Relays a tunnel op one hop toward its target node, from a node of
+  /// this site or from the peer proxy that relayed it here.
+  void handle_tunnel(const proto::Envelope& envelope, Connection& conn);
   /// Ingests a kTraceExport: spans of traces this proxy originated land in
   /// the local ring; the rest keep flowing toward their origin through the
   /// trace-route table.
@@ -347,9 +351,16 @@ class ProxyServer {
                      std::uint32_t exit_code);
   /// Fails the run latch with a retryable error; run_app returns it.
   void fail_run(std::uint64_t app_id, const Status& reason);
-  Connection* peer_connection(const std::string& site) const;
-  Connection* node_connection(const std::string& node) const;
+  /// fail_run() when this proxy originated the app (`origin_site` empty),
+  /// else a kMpiAbort telling the origin to fail it.
+  void abort_run(std::uint64_t app_id, const std::string& origin_site,
+                 const std::string& why);
   tls::GsslConfig gssl_config(const std::string& expected_peer) const;
+  /// GSSL handshake on `channel` (client side when `client`), with a
+  /// handshake RNG drawn from rng_; counts it in `handshakes`.
+  Result<tls::MessageLinkPtr> secure_link(net::Channel& channel,
+                                          const std::string& expected_peer,
+                                          bool client);
   void relay_async(std::function<void()> work);
 
   // -- MPI data plane
@@ -363,34 +374,25 @@ class ProxyServer {
   void route_mpi_frame(proto::MpiFrame frame);
 
   // -- resilience
-  /// Retrying request/response against whatever connection `resolve`
-  /// currently returns (re-resolved each attempt so a reconnect is picked
-  /// up). Per-attempt deadline from config_.retry, total budget `timeout`;
-  /// the request id is reused per connection so retries dedup at the
-  /// receiver.
-  Result<proto::Envelope> call_with_retry(
-      const std::function<Connection*()>& resolve, const std::string& target,
-      proto::OpCode op, BytesView payload, TimeMicros timeout);
-  Result<proto::Envelope> call_node(const std::string& node, proto::OpCode op,
-                                    BytesView payload, TimeMicros timeout);
-  /// Reader-thread callback when a peer/node connection dies; also the
-  /// heartbeat monitor's verdict path (which close()s first). Purges all
-  /// state that referenced the peer so nothing waits on a corpse.
+  /// Retrying request/response against the link's live connection
+  /// (re-resolved each attempt so a reconnect is picked up). Per-attempt
+  /// deadline from config_.retry, total budget `timeout`; the request id
+  /// is reused per connection so retries dedup at the receiver.
+  Result<proto::Envelope> call_with_retry(const BatchLink& link,
+                                          proto::OpCode op, BytesView payload,
+                                          TimeMicros timeout);
+  /// PeerTable down callbacks, after its close accounting (also the
+  /// heartbeat verdict path). Purge all state that referenced the peer or
+  /// node so nothing waits on a corpse.
   void on_peer_down(const std::string& site, const Status& reason);
   void on_node_down(const std::string& node, const Status& reason);
-  /// Arms the next heartbeat tick (reactor one-shot timer).
-  void schedule_heartbeat();
-  /// Reactor-timer callback: one probe round over the peers, then re-arm.
-  void heartbeat_fire();
 
   // -- shard gossip (sharded proxy tier)
   /// Ingests a sibling's kShardStatus: refreshes its liveness in the
   /// lease, adopts any newer lease epoch, and updates the shard board.
   void handle_shard_status(const proto::Envelope& envelope);
-  /// Arms the next gossip tick (only when config_.shards > 1).
-  void schedule_shard_gossip();
-  /// Reactor-timer callback: push this shard's partial report plus the
-  /// lease epoch to every connected sibling, then re-arm.
+  /// Gossip tick: push this shard's partial report plus the lease epoch to
+  /// every connected sibling.
   void shard_gossip_fire();
 
   // -- span export routing
@@ -423,10 +425,6 @@ class ProxyServer {
   Rng rng_;
   mutable std::mutex rng_mutex_;
 
-  mutable std::mutex conns_mutex_;
-  std::map<std::string, ConnectionPtr> peers_;
-  std::map<std::string, ConnectionPtr> nodes_;
-
   mutable std::mutex apps_mutex_;
   std::condition_variable runs_cv_;
   std::map<std::uint64_t, AppState> apps_;
@@ -449,11 +447,9 @@ class ProxyServer {
   // Registry-backed counters/histograms, labelled with this proxy's site.
   ProxyInstruments instruments_;
 
-  // Heartbeat monitor: a self-rearming reactor timer (armed only when
-  // config_.heartbeat_interval > 0). An idle proxy wakes zero threads.
-  std::mutex timers_mutex_;
-  std::uint64_t heartbeat_timer_ = 0;     // guarded by timers_mutex_
-  std::uint64_t shard_gossip_timer_ = 0;  // guarded by timers_mutex_
+  // Every peer-site and node connection, with heartbeat liveness of the
+  // site links (a reactor timer, armed only when heartbeat_interval > 0).
+  PeerTable links_;
 
   // Reliable kMpiBatch streams: one queue and sender window per outgoing
   // link (peer sites and this site's nodes), and dedup + acks for arriving
@@ -468,6 +464,10 @@ class ProxyServer {
   std::deque<std::uint64_t> trace_routes_order_;
 
   std::atomic<bool> shut_down_{false};
+
+  // Shard gossip ticks (armed only when shards > 1); last, so every member
+  // a tick reads exists first.
+  net::PeriodicTimer shard_gossip_;
 };
 
 using ProxyServerPtr = std::unique_ptr<ProxyServer>;

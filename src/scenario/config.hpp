@@ -130,8 +130,8 @@ struct ScenarioConfig {
   std::uint32_t batch_window_messages = 32;
   /// Healed links resume from the session ticket cached at the previous
   /// handshake (one round trip, no RSA) instead of redoing the full GSSL
-  /// handshake (two round trips) — mirroring ProxyConfig::session_resumption
-  /// — as long as the ticket is younger than `resumption_ticket_lifetime`.
+  /// handshake (two round trips) — the real proxies always resume — as long
+  /// as the ticket is younger than `resumption_ticket_lifetime`.
   bool session_resumption = true;
   TimeMicros resumption_ticket_lifetime = 3600 * kMicrosPerSecond;
   DataPlaneModel data_plane;

@@ -298,6 +298,7 @@ TEST(Messages, FuzzDecodeSafety) {
     (void)NodeStatus::parse(junk);
     (void)StatusQuery::parse(junk);
     (void)StatusReport::parse(junk);
+    (void)ShardStatus::parse(junk);
     (void)JobSubmit::parse(junk);
     (void)JobAccept::parse(junk);
     (void)JobComplete::parse(junk);
@@ -306,35 +307,44 @@ TEST(Messages, FuzzDecodeSafety) {
     (void)MpiBatch::parse(junk);
     (void)MpiBatchAck::parse(junk);
     (void)MpiClose::parse(junk);
+    (void)MpiAbort::parse(junk);
     (void)TunnelOpen::parse(junk);
     (void)TunnelData::parse(junk);
     (void)TunnelClose::parse(junk);
+    (void)TraceExport::parse(junk);
     (void)ErrorMessage::parse(junk);
   }
   SUCCEED();
 }
 
-// Mutation fuzz: flip bytes of valid messages; parser must never crash and
-// round-tripped values must re-serialize consistently when parse succeeds.
-TEST(Messages, MutationFuzzStatusReport) {
-  StatusReport report;
-  report.site = "siteZ";
-  NodeStatus n;
-  n.name = "n";
-  report.nodes = {n, n};
-  const Bytes wire = report.serialize();
-
-  Rng rng(31415);
+// Mutation fuzz: flip bytes of a valid message's wire form. The parser must
+// never crash, and whatever parses must re-serialize to something parseable.
+template <typename Message>
+void mutation_fuzz(const Message& sample, std::uint64_t seed) {
+  const Bytes wire = sample.serialize();
+  Rng rng(seed);
   for (int iter = 0; iter < 500; ++iter) {
     Bytes mutated = wire;
     const std::size_t pos = rng.next_below(mutated.size());
     mutated[pos] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
-    const auto parsed = StatusReport::parse(mutated);
+    const auto parsed = Message::parse(mutated);
     if (parsed.is_ok()) {
-      // Whatever parsed must re-serialize to something parseable.
-      EXPECT_TRUE(StatusReport::parse(parsed.value().serialize()).is_ok());
+      EXPECT_TRUE(Message::parse(parsed.value().serialize()).is_ok());
     }
   }
+}
+
+StatusReport two_node_report(const std::string& site) {
+  StatusReport report;
+  report.site = site;
+  NodeStatus n;
+  n.name = "n";
+  report.nodes = {n, n};
+  return report;
+}
+
+TEST(Messages, MutationFuzzStatusReport) {
+  mutation_fuzz(two_node_report("siteZ"), 31415);
 }
 
 TEST(Messages, MutationFuzzMpiBatch) {
@@ -345,18 +355,42 @@ TEST(Messages, MutationFuzzMpiBatch) {
   frame.dst_ranks = {0, 1};
   frame.payload = to_bytes("xy");
   batch.frames = {frame, frame};
-  const Bytes wire = batch.serialize();
+  mutation_fuzz(batch, 27182);
+}
 
-  Rng rng(27182);
-  for (int iter = 0; iter < 500; ++iter) {
-    Bytes mutated = wire;
-    const std::size_t pos = rng.next_below(mutated.size());
-    mutated[pos] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
-    const auto parsed = MpiBatch::parse(mutated);
-    if (parsed.is_ok()) {
-      EXPECT_TRUE(MpiBatch::parse(parsed.value().serialize()).is_ok());
-    }
-  }
+TEST(Messages, MutationFuzzShardStatus) {
+  ShardStatus gossip;
+  gossip.shard = "siteZ#1";
+  gossip.lease_epoch = 7;
+  gossip.report = two_node_report("siteZ#1");
+  mutation_fuzz(gossip, 16180);
+}
+
+TEST(Messages, MutationFuzzTraceExport) {
+  TraceExport out;
+  out.exporter_site = "siteZ";
+  ExportedSpan span;
+  span.trace_id = 0x1234;
+  span.span_id = 2;
+  span.parent_span_id = 1;
+  span.name = "peer.kMpiOpen";
+  span.component = "siteZ";
+  span.start_micros = 10;
+  span.end_micros = 20;
+  span.note = "n";
+  out.spans = {span, span};
+  mutation_fuzz(out, 14142);
+}
+
+TEST(Messages, MutationFuzzMpiOpen) {
+  MpiOpen open;
+  open.app_id = 9;
+  open.executable = "pi";
+  open.world_size = 2;
+  open.placements = {{0, "siteA", "n0"}, {1, "siteB", "n1"}};
+  open.user = "alice";
+  open.token = to_bytes("ticket");
+  mutation_fuzz(open, 17320);
 }
 
 TEST(Dispatcher, RoutesToHandler) {

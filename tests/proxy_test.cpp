@@ -1,9 +1,11 @@
 // Unit tests for the proxy building blocks: Connection (request/response
 // correlation), the reliable kMpiBatch stream (ReliableBatchSender and
-// ReliableBatchReceiver over a live connection) and AppRouting
+// ReliableBatchReceiver over a live connection), PeerTable (the link table:
+// insert rules, close accounting, heartbeat liveness) and AppRouting
 // (virtual-slave tables).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <mutex>
@@ -13,6 +15,7 @@
 #include "net/memory_channel.hpp"
 #include "proxy/app_routing.hpp"
 #include "proxy/connection.hpp"
+#include "proxy/peer_table.hpp"
 #include "proxy/reliable_batch.hpp"
 #include "tls/link.hpp"
 
@@ -399,6 +402,201 @@ TEST(ReliableBatch, TeardownFlushDropsFramesOfDeadLink) {
   s.go_live();
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_TRUE(s.arrived().empty());
+}
+
+/// A memory link for a PeerTable: `near` is not started (the table starts
+/// it); `far` is started and runs `far_handler`.
+struct TableLink {
+  ConnectionPtr near;
+  ConnectionPtr far;
+};
+
+TableLink make_table_link(
+    Connection::EnvelopeHandler far_handler = null_handler()) {
+  net::ChannelPair channels = net::make_memory_channel_pair();
+  auto link_a = tls::make_plain_link(*channels.a);
+  auto link_b = tls::make_plain_link(*channels.b);
+  TableLink out;
+  out.near = std::make_unique<Connection>("far", std::move(channels.a),
+                                          std::move(link_a), true,
+                                          null_handler());
+  out.far = std::make_unique<Connection>("near", std::move(channels.b),
+                                         std::move(link_b), false,
+                                         std::move(far_handler));
+  out.far->start();
+  return out;
+}
+
+/// Records every PeerTable down callback.
+class DownLog {
+ public:
+  PeerTable::DownHandler handler() {
+    return [this](const BatchLink& link, const Status& reason) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      downs_.emplace_back(link, reason);
+    };
+  }
+  std::size_t count(const BatchLink& link) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return static_cast<std::size_t>(
+        std::count_if(downs_.begin(), downs_.end(),
+                      [&](const auto& down) { return down.first == link; }));
+  }
+  std::size_t size() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return downs_.size();
+  }
+  /// Reason of the first down callback for `link`; Ok when none fired.
+  Status reason(const BatchLink& link) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& [down, why] : downs_)
+      if (down == link) return why;
+    return Status::ok();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<std::pair<BatchLink, Status>> downs_;
+};
+
+TEST(PeerTable, DuplicateNodeLinkIsRejectedWithoutDownCallback) {
+  DownLog log;
+  ProxyInstruments instruments("peer-table-dup-node");
+  PeerTable table("peer-table-dup-node", instruments, log.handler());
+  const BatchLink node{LinkKind::kNode, "n1"};
+  TableLink first = make_table_link();
+  TableLink duplicate = make_table_link();
+  Connection* kept = first.near.get();
+
+  ASSERT_TRUE(table.add(node, std::move(first.near)).is_ok());
+  EXPECT_EQ(table.add(node, std::move(duplicate.near)).code(),
+            ErrorCode::kAlreadyExists);
+  EXPECT_EQ(table.get(node), kept);
+  EXPECT_EQ(table.live(node), kept);
+  // A site link of the same name is a different link.
+  EXPECT_EQ(table.get({LinkKind::kSite, "n1"}), nullptr);
+  EXPECT_EQ(instruments.open_connections.value(), 1);
+  EXPECT_EQ(instruments.shard_owned_keys.value(), 1);
+  // The rejected connection was destroyed without firing anything.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(log.size(), 0u);
+
+  // Unlike a site link, a dead node link is not replaced either.
+  kept->close();
+  EXPECT_EQ(log.count(node), 1u);
+  TableLink again = make_table_link();
+  EXPECT_EQ(table.add(node, std::move(again.near)).code(),
+            ErrorCode::kAlreadyExists);
+  EXPECT_EQ(table.get(node), kept);
+  EXPECT_EQ(table.live(node), nullptr);
+  EXPECT_EQ(log.size(), 1u);
+  EXPECT_EQ(instruments.open_connections.value(), 0);
+  EXPECT_EQ(instruments.shard_owned_keys.value(), 0);
+}
+
+TEST(PeerTable, SiteLinkReplacesDeadConnectionAndRejectsLiveOne) {
+  DownLog log;
+  ProxyInstruments instruments("peer-table-replace");
+  PeerTable table("peer-table-replace", instruments, log.handler());
+  const BatchLink site{LinkKind::kSite, "s1"};
+  TableLink first = make_table_link();
+  TableLink second = make_table_link();
+  TableLink third = make_table_link();
+  Connection* old = first.near.get();
+  Connection* fresh = second.near.get();
+
+  ASSERT_TRUE(table.add(site, std::move(first.near)).is_ok());
+  old->close();
+  EXPECT_EQ(log.count(site), 1u);
+  EXPECT_EQ(table.get(site), old);
+  EXPECT_EQ(table.live(site), nullptr);
+
+  // Reconnect: the dead connection is retired without a second callback.
+  ASSERT_TRUE(table.add(site, std::move(second.near)).is_ok());
+  EXPECT_EQ(table.live(site), fresh);
+  EXPECT_EQ(log.count(site), 1u);
+  EXPECT_EQ(instruments.open_connections.value(), 1);
+
+  EXPECT_EQ(table.add(site, std::move(third.near)).code(),
+            ErrorCode::kAlreadyExists);
+  EXPECT_EQ(table.live(site), fresh);
+  EXPECT_EQ(log.count(site), 1u);
+
+  table.close_all();
+  EXPECT_EQ(log.count(site), 2u);
+  EXPECT_EQ(instruments.open_connections.value(), 0);
+}
+
+TEST(PeerTable, HeartbeatClosesSilentSiteLinkAndKeepsChattyOne) {
+  DownLog log;
+  ProxyInstruments instruments("peer-table-heartbeat");
+  const TimeMicros interval = 50 * 1000;
+  PeerTable table("peer-table-heartbeat", instruments, log.handler(),
+                  interval, /*miss_threshold=*/3);
+  const BatchLink silent{LinkKind::kSite, "silent"};
+  const BatchLink chatty{LinkKind::kSite, "chatty"};
+  TableLink silent_link = make_table_link();
+  TableLink chatty_link = make_table_link();
+  ASSERT_TRUE(table.add(silent, std::move(silent_link.near)).is_ok());
+  ASSERT_TRUE(table.add(chatty, std::move(chatty_link.near)).is_ok());
+
+  std::atomic<bool> stop{false};
+  std::thread chatter([&] {
+    while (!stop.load()) {
+      (void)chatty_link.far->notify(proto::OpCode::kHeartbeat, {});
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  });
+  EXPECT_TRUE(eventually([&] { return log.count(silent) == 1; }));
+  EXPECT_NE(log.reason(silent).message().find("heartbeat timeout"),
+            std::string::npos)
+      << log.reason(silent).to_string();
+  EXPECT_GE(instruments.snapshot().heartbeat_missed, 1u);
+  EXPECT_NE(table.live(chatty), nullptr);
+  EXPECT_EQ(log.count(chatty), 0u);
+  stop = true;
+  chatter.join();
+
+  table.stop();
+  table.close_all();
+  EXPECT_EQ(instruments.open_connections.value(), 0);
+}
+
+TEST(PeerTable, CloseAllFiresEveryDownPathAndRestoresGauges) {
+  DownLog log;
+  ProxyInstruments instruments("peer-table-close-all");
+  const std::int64_t open_before = instruments.open_connections.value();
+  PeerTable table("peer-table-close-all", instruments, log.handler());
+  const std::vector<BatchLink> links = {{LinkKind::kSite, "s2"},
+                                        {LinkKind::kNode, "n1"},
+                                        {LinkKind::kSite, "s1"},
+                                        {LinkKind::kNode, "n2"}};
+  std::vector<TableLink> ends;
+  for (const BatchLink& link : links) {
+    ends.push_back(make_table_link());
+    ASSERT_TRUE(table.add(link, std::move(ends.back().near)).is_ok());
+  }
+  EXPECT_EQ(instruments.open_connections.value(), open_before + 4);
+  EXPECT_EQ(table.names(LinkKind::kSite),
+            (std::vector<std::string>{"s1", "s2"}));
+  EXPECT_EQ(table.names(LinkKind::kNode),
+            (std::vector<std::string>{"n1", "n2"}));
+  const std::vector<LinkReport> report = table.report();
+  ASSERT_EQ(report.size(), 4u);
+  EXPECT_EQ(report[0].peer, "s1");
+  EXPECT_TRUE(report[0].inter_site);
+  EXPECT_EQ(report[2].peer, "n1");
+  EXPECT_FALSE(report[2].inter_site);
+
+  table.close_all();
+  EXPECT_EQ(log.size(), 4u);
+  for (const BatchLink& link : links) {
+    EXPECT_EQ(log.count(link), 1u) << link.name;
+    EXPECT_EQ(table.live(link), nullptr) << link.name;
+  }
+  EXPECT_EQ(instruments.open_connections.value(), open_before);
+  EXPECT_EQ(instruments.shard_owned_keys.value(), 0);
+  EXPECT_EQ(instruments.snapshot().disconnects, 4u);
 }
 
 TEST(AppRouting, PlacementLookups) {
