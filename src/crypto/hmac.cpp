@@ -11,7 +11,8 @@ HmacSha256::HmacSha256(BytesView key) {
     Sha256 h;
     h.update(key);
     h.finish_into(k);
-  } else {
+  } else if (!key.empty()) {
+    // An empty key's data() may be null, which memcpy must not see.
     std::memcpy(k, key.data(), key.size());
   }
 

@@ -57,8 +57,10 @@ class Channel {
   virtual Result<std::size_t> read(std::uint8_t* buf, std::size_t max) = 0;
 
   /// Writes the whole buffer or returns an error. In event mode the bytes
-  /// may be queued (bounded; the caller blocks on a full queue) and the
-  /// call still means "accepted for delivery in order".
+  /// may be queued and the call still means "accepted for delivery in
+  /// order". The queue is bounded: a caller blocks on a full queue, unless
+  /// it is a reactor I/O thread or the channel's writers pace themselves
+  /// (pace_writes_externally).
   virtual Status write(BytesView data) = 0;
 
   /// Closes both directions; concurrent blocked reads wake with EOF, and
@@ -105,6 +107,16 @@ class Channel {
 
   /// Bytes currently queued for asynchronous delivery.
   virtual std::size_t queued_write_bytes() const { return 0; }
+
+  /// From now on write() never waits on a full event-mode queue: the owner
+  /// calls wait_writable() *before* taking the lock that serializes its
+  /// writes, so no writer ever sleeps holding that lock while a reactor
+  /// I/O thread (which must drain the queue) waits for it.
+  virtual void pace_writes_externally() {}
+
+  /// Blocks while the event-mode send queue is over its bound, until it
+  /// drains or the channel closes. Returns at once on a reactor I/O thread.
+  virtual void wait_writable() {}
 };
 
 using ChannelPtr = std::unique_ptr<Channel>;

@@ -96,9 +96,10 @@ class FaultyChannel : public Channel {
   const ChannelStats& stats() const override { return inner_->stats(); }
 
   // ---- event-driven extension: decorate writes, forward everything else.
-  // Fault decisions (including delays, which sleep on the writer's thread,
-  // never on a reactor I/O thread) happen in write() above before the
-  // inner channel queues anything.
+  // Fault decisions happen in write() above before the inner channel
+  // queues anything. Delays sleep on the writer's thread, which is a
+  // reactor I/O thread when an inline data handler writes: the injected
+  // stall then holds that thread's other connections too.
 
   bool enter_event_mode(std::function<void()> on_want_write) override {
     return inner_->enter_event_mode(std::move(on_want_write));
@@ -121,6 +122,10 @@ class FaultyChannel : public Channel {
   std::size_t queued_write_bytes() const override {
     return inner_->queued_write_bytes();
   }
+
+  void pace_writes_externally() override { inner_->pace_writes_externally(); }
+
+  void wait_writable() override { inner_->wait_writable(); }
 
  private:
   ChannelPtr inner_;

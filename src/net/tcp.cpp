@@ -13,12 +13,16 @@
 #include <deque>
 #include <mutex>
 
+#include "net/reactor.hpp"
+
 namespace pg::net {
 
 namespace {
 
-/// Event-mode send-queue bound: a writer whose peer stalls blocks here
-/// instead of growing the queue without limit (slow-peer backpressure).
+/// Event-mode send-queue bound: a writer whose peer stalls waits for the
+/// queue to drain below it instead of growing the queue without limit
+/// (slow-peer backpressure). Reactor I/O threads never wait; what they
+/// write past the bound is bounded by the data plane's sender windows.
 constexpr std::size_t kMaxQueuedWriteBytes = 4 * 1024 * 1024;
 
 Status errno_status(const char* what) {
@@ -173,6 +177,12 @@ class TcpChannel final : public Channel {
     return queued_bytes_.load(std::memory_order_relaxed);
   }
 
+  void pace_writes_externally() override {
+    external_pacing_.store(true, std::memory_order_release);
+  }
+
+  void wait_writable() override { (void)wait_for_space(); }
+
  private:
   Status write_blocking(BytesView data) {
     const int fd = fd_.load(std::memory_order_acquire);
@@ -221,34 +231,38 @@ class TcpChannel final : public Channel {
       stats_.queued_writes.fetch_add(1, std::memory_order_relaxed);
       const bool first = wq_.size() == 1;
       std::function<void()> want_write = first ? on_want_write_ : nullptr;
-      // Bounded queue: block the writer until the reactor drains below the
-      // bound or the channel dies (slow-peer backpressure).
-      if (queued_bytes_.load(std::memory_order_relaxed) >
-          kMaxQueuedWriteBytes) {
-        stats_.backpressure_waits.fetch_add(1, std::memory_order_relaxed);
-        if (want_write) {
-          lock.unlock();
-          want_write();
-          lock.lock();
-          want_write = nullptr;
-        }
-        wq_cv_.wait(lock, [this] {
-          return closed_ || queued_bytes_.load(std::memory_order_relaxed) <=
-                                kMaxQueuedWriteBytes / 2;
-        });
-        if (closed_)
-          return error(ErrorCode::kUnavailable, "channel closed");
-      }
       lock.unlock();
       if (want_write) want_write();
+      // Bounded queue: unless the writers pace themselves, block this one
+      // until the reactor drains below the bound or the channel dies.
+      if (!external_pacing_.load(std::memory_order_acquire) &&
+          !wait_for_space())
+        return error(ErrorCode::kUnavailable, "channel closed");
     }
     stats_.bytes_sent.fetch_add(data.size(), std::memory_order_relaxed);
     stats_.writes.fetch_add(1, std::memory_order_relaxed);
     return Status::ok();
   }
 
+  /// Blocks a writer that is not a reactor I/O thread while the queue is
+  /// over its bound, until it drains to half the bound or the channel
+  /// dies. False when the channel died during the wait.
+  bool wait_for_space() {
+    if (Reactor::on_io_thread()) return true;
+    std::unique_lock<std::mutex> lock(wq_mutex_);
+    if (queued_bytes_.load(std::memory_order_relaxed) <= kMaxQueuedWriteBytes)
+      return true;
+    stats_.backpressure_waits.fetch_add(1, std::memory_order_relaxed);
+    wq_cv_.wait(lock, [this] {
+      return closed_ || queued_bytes_.load(std::memory_order_relaxed) <=
+                            kMaxQueuedWriteBytes / 2;
+    });
+    return !closed_;
+  }
+
   std::atomic<int> fd_;
   std::atomic<bool> event_mode_{false};
+  std::atomic<bool> external_pacing_{false};
   ChannelStats stats_;
 
   // Event-mode send queue (guarded by wq_mutex_ unless noted).
@@ -320,16 +334,13 @@ Result<TcpListener> TcpListener::bind(std::uint16_t port) {
 }
 
 TcpListener::TcpListener(TcpListener&& other) noexcept
-    : fd_(other.fd_), port_(other.port_) {
-  other.fd_ = -1;
-}
+    : fd_(other.fd_.exchange(-1)), port_(other.port_) {}
 
 TcpListener& TcpListener::operator=(TcpListener&& other) noexcept {
   if (this != &other) {
     close();
-    fd_ = other.fd_;
+    fd_.store(other.fd_.exchange(-1));
     port_ = other.port_;
-    other.fd_ = -1;
   }
   return *this;
 }
@@ -338,7 +349,9 @@ TcpListener::~TcpListener() { close(); }
 
 Result<ChannelPtr> TcpListener::accept() {
   for (;;) {
-    const int fd = ::accept(fd_, nullptr, nullptr);
+    const int listen_fd = fd_.load(std::memory_order_acquire);
+    if (listen_fd < 0) return error(ErrorCode::kUnavailable, "listener closed");
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd >= 0) {
       // Accepted sockets always start in blocking mode, even when the
       // listener fd was made non-blocking for reactor registration.
@@ -355,12 +368,14 @@ Result<ChannelPtr> TcpListener::accept() {
 }
 
 void TcpListener::close() {
-  if (fd_ >= 0) {
+  // Claim the fd first, so a concurrent accept() never reads a stale one
+  // and two closers never close it twice.
+  const int fd = fd_.exchange(-1, std::memory_order_acq_rel);
+  if (fd >= 0) {
     // shutdown() wakes any thread blocked in accept() (plain close() does
     // not, on Linux); it returns ENOTCONN on listeners, which is fine.
-    ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-    fd_ = -1;
+    ::shutdown(fd, SHUT_RDWR);
+    ::close(fd);
   }
 }
 

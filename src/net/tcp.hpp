@@ -3,6 +3,7 @@
 // deployment in the paper would.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -33,13 +34,15 @@ class TcpListener {
   std::uint16_t port() const { return port_; }
   /// The listening socket's fd, for reactor registration (the reactor sets
   /// it non-blocking and invokes the accept callback on readiness).
-  int native_fd() const { return fd_; }
+  int native_fd() const { return fd_.load(std::memory_order_acquire); }
+  /// Safe while another thread is blocked in accept(): that call wakes
+  /// with an error.
   void close();
 
  private:
   TcpListener(int fd, std::uint16_t port) : fd_(fd), port_(port) {}
 
-  int fd_ = -1;
+  std::atomic<int> fd_{-1};
   std::uint16_t port_ = 0;
 };
 

@@ -15,7 +15,7 @@ namespace pg::proto {
 /// The first byte of every envelope. Only this version is accepted: every
 /// proxy and node agent of a grid runs the same build, so there is no
 /// older peer to stay compatible with (see docs/PROTOCOL.md).
-constexpr std::uint8_t kProtocolVersion = 5;
+constexpr std::uint8_t kProtocolVersion = 6;
 
 /// Well-known operation codes. The space is open: proxies route unknown
 /// codes to registered extension handlers (see Dispatcher) instead of
@@ -67,12 +67,15 @@ enum class OpCode : std::uint16_t {
   /// addressable to multiple ranks (the site-aware collective fan-out).
   /// The only data-plane op. Payload is proto::MpiBatch.
   kMpiBatch = 47,
-  /// Receiver -> sender acknowledgement of kMpiBatch deliveries:
-  /// cumulative + selective (origin, seq) coverage, so senders can
-  /// release their in-flight window and retransmit only what was lost.
-  /// Payload is proto::MpiBatchAck. Unacknowledged batches retransmit on
-  /// an RTO timer — the at-least-once half of the effectively-exactly-once
-  /// data plane (the dedup window is the at-most-once half).
+  /// Standalone receiver -> sender acknowledgement of kMpiBatch
+  /// deliveries: cumulative + selective (origin, seq) coverage, so senders
+  /// can release their in-flight window and retransmit only what was lost.
+  /// Payload is proto::MpiBatchAck. Most coverage rides the next reverse
+  /// kMpiBatch instead (MpiBatch::acks); this envelope goes out only when
+  /// an ack cannot wait (docs/PROTOCOL.md). Unacknowledged batches
+  /// retransmit on an RTO timer — the at-least-once half of the
+  /// effectively-exactly-once data plane (the dedup window is the
+  /// at-most-once half).
   kMpiBatchAck = 48,
 
   // Tunneling (explicit secure channels for site nodes)

@@ -329,6 +329,28 @@ Result<MpiOpenAck> MpiOpenAck::parse(BytesView data) {
   return m;
 }
 
+namespace {
+
+void put_batch_ack(BufferWriter& w, const MpiBatchAck& ack) {
+  w.put_string(ack.origin);
+  w.put_u64(ack.cumulative);
+  w.put_varint(ack.selective.size());
+  for (const std::uint64_t seq : ack.selective) w.put_u64(seq);
+  w.put_varint(ack.ack_delay_us);
+}
+
+Status get_batch_ack(BufferReader& r, MpiBatchAck& ack) {
+  PG_RETURN_IF_ERROR(r.get_string(ack.origin));
+  PG_RETURN_IF_ERROR(r.get_u64(ack.cumulative));
+  std::uint64_t n = 0;
+  PG_RETURN_IF_ERROR(get_count(r, n));
+  ack.selective.resize(n);
+  for (auto& seq : ack.selective) PG_RETURN_IF_ERROR(r.get_u64(seq));
+  return r.get_varint(ack.ack_delay_us);
+}
+
+}  // namespace
+
 Bytes MpiBatch::serialize() const {
   BufferWriter w;
   w.put_string(origin);
@@ -342,6 +364,8 @@ Bytes MpiBatch::serialize() const {
     for (const std::uint32_t dst : f.dst_ranks) w.put_u32(dst);
     w.put_bytes(f.payload);
   }
+  w.put_varint(acks.size());
+  for (const MpiBatchAck& ack : acks) put_batch_ack(w, ack);
   return w.take();
 }
 
@@ -363,28 +387,23 @@ Result<MpiBatch> MpiBatch::parse(BytesView data) {
     for (auto& dst : f.dst_ranks) PG_RETURN_IF_ERROR(r.get_u32(dst));
     PG_RETURN_IF_ERROR(r.get_bytes(f.payload));
   }
+  PG_RETURN_IF_ERROR(get_count(r, n));
+  m.acks.resize(n);
+  for (auto& ack : m.acks) PG_RETURN_IF_ERROR(get_batch_ack(r, ack));
   PG_RETURN_IF_ERROR(r.expect_end());
   return m;
 }
 
 Bytes MpiBatchAck::serialize() const {
   BufferWriter w;
-  w.put_string(origin);
-  w.put_u64(cumulative);
-  w.put_varint(selective.size());
-  for (const std::uint64_t seq : selective) w.put_u64(seq);
+  put_batch_ack(w, *this);
   return w.take();
 }
 
 Result<MpiBatchAck> MpiBatchAck::parse(BytesView data) {
   BufferReader r(data);
   MpiBatchAck m;
-  PG_RETURN_IF_ERROR(r.get_string(m.origin));
-  PG_RETURN_IF_ERROR(r.get_u64(m.cumulative));
-  std::uint64_t n = 0;
-  PG_RETURN_IF_ERROR(get_count(r, n));
-  m.selective.resize(n);
-  for (auto& seq : m.selective) PG_RETURN_IF_ERROR(r.get_u64(seq));
+  PG_RETURN_IF_ERROR(get_batch_ack(r, m));
   PG_RETURN_IF_ERROR(r.expect_end());
   return m;
 }

@@ -203,10 +203,33 @@ struct MpiFrame {
   friend bool operator==(const MpiFrame&, const MpiFrame&) = default;
 };
 
+/// kMpiBatchAck payload, and one entry of MpiBatch::acks: the receiver's
+/// delivery coverage for one batch origin, sent back on the link a
+/// kMpiBatch arrived on. `cumulative` is the highest seq S such that every
+/// batch in [1, S] from `origin` was delivered on this link; `selective`
+/// lists seqs received beyond the cumulative point (out-of-order arrivals
+/// whose predecessors are still missing). Senders release every covered
+/// batch from their in-flight window; anything uncovered retransmits at its
+/// RTO. `ack_delay_us` is how long the receiver held the ack after the
+/// newest covered batch arrived; the sender subtracts it from its RTT
+/// samples (RFC 9000 §13.2.5).
+struct MpiBatchAck {
+  std::string origin;
+  std::uint64_t cumulative = 0;
+  std::vector<std::uint64_t> selective;
+  std::uint64_t ack_delay_us = 0;
+
+  friend bool operator==(const MpiBatchAck&, const MpiBatchAck&) = default;
+
+  Bytes serialize() const;
+  static Result<MpiBatchAck> parse(BytesView data);
+};
+
 /// kMpiBatch payload: frames coalesced into one envelope / one sealed
 /// record per link flush. (origin, seq) identifies
 /// the batch so receivers can drop a duplicated or retransmitted batch
-/// after the first delivery.
+/// after the first delivery. `acks` piggybacks the coverage the sender owes
+/// the far end for batches that came the other way on the same link.
 struct MpiBatch {
   /// Sender identity, unique per process: a proxy uses its site name, a
   /// node agent "<site>/<node>".
@@ -214,25 +237,10 @@ struct MpiBatch {
   /// Monotonic per sender; receivers keep a per-origin window of seen ids.
   std::uint64_t seq = 0;
   std::vector<MpiFrame> frames;
+  std::vector<MpiBatchAck> acks;
 
   Bytes serialize() const;
   static Result<MpiBatch> parse(BytesView data);
-};
-
-/// kMpiBatchAck payload: the receiver's delivery coverage for one batch
-/// origin, sent back on the link a kMpiBatch arrived on. `cumulative` is
-/// the highest seq S such that every batch in [1, S] from `origin` was
-/// delivered on this link; `selective` lists seqs received beyond the
-/// cumulative point (out-of-order arrivals whose predecessors are still
-/// missing). Senders release every covered batch from their in-flight
-/// window; anything uncovered retransmits at its RTO.
-struct MpiBatchAck {
-  std::string origin;
-  std::uint64_t cumulative = 0;
-  std::vector<std::uint64_t> selective;
-
-  Bytes serialize() const;
-  static Result<MpiBatchAck> parse(BytesView data);
 };
 
 struct MpiClose {

@@ -59,6 +59,7 @@ struct Connection::Strand {
   std::deque<proto::Envelope> inbox;
   std::size_t inbox_bytes = 0;
   bool draining = false;      // a drainer thread owns the inbox
+  bool busy = false;          // the drainer is running a popped envelope
   bool paused = false;        // reactor reads paused (high-water)
   bool closed = false;        // no further dispatch; drainer exits
   bool dead_pending = false;  // run finalize_close after the inbox drains
@@ -77,6 +78,9 @@ Connection::Connection(std::string peer_name, net::ChannelPtr channel,
       last_activity_(steady_micros()),
       next_id_(initiator ? 1 : 2) {
   strand_->conn = this;
+  // send_parts waits for queue space before taking send_mutex_, never
+  // inside it (see there).
+  channel_->pace_writes_externally();
 }
 
 Connection::~Connection() { close(); }
@@ -130,6 +134,11 @@ Status Connection::send_parts(proto::OpCode op, std::uint64_t request_id,
   // Carry the calling thread's trace context across the hop; the peer
   // installs it before dispatching (see process_envelope).
   const telemetry::TraceContext ctx = telemetry::Tracer::current();
+  // Backpressure waits happen here, before send_mutex_: a writer that slept
+  // holding it would stall an I/O thread's inline handler sending on this
+  // connection, and that I/O thread may be the one that drains the queue.
+  // On an I/O thread this returns at once.
+  channel_->wait_writable();
   std::lock_guard<std::mutex> lock(send_mutex_);
   proto::serialize_envelope(op, request_id, ctx.trace_id, ctx.span_id,
                             payload, send_buf_);
@@ -233,24 +242,45 @@ void Connection::on_frame(BytesView frame) {
     // (id parity keeps the two directions' ids disjoint). Fall through.
   }
 
+  // Data batches run to completion right here when the strand is idle: no
+  // thread handoff per hop. Otherwise they queue behind whatever the strand
+  // holds, so per-connection order holds (a batch never overtakes a queued
+  // kMpiStart). Standalone acks always run here: they only release window
+  // entries, which commutes with everything else on the connection, and an
+  // ack stuck behind a busy strand makes its sender resend. Neither
+  // handler blocks.
+  const bool batch = env.op == proto::OpCode::kMpiBatch;
+  const bool ack = env.op == proto::OpCode::kMpiBatchAck;
+  bool run_inline = false;
   bool spawn = false;
   bool pause = false;
   {
     std::lock_guard<std::mutex> lock(strand_->mutex);
     if (strand_->closed) return;
-    strand_->inbox_bytes += env.payload.size();
-    strand_->inbox.push_back(std::move(env));
-    if (!strand_->draining) {
-      strand_->draining = true;
-      spawn = true;
-    } else {
-      strand_->cv.notify_one();  // wake a lingering drainer
+    run_inline =
+        ack || (batch && strand_->inbox.empty() && !strand_->busy);
+    if (!run_inline) {
+      strand_->inbox_bytes += env.payload.size();
+      strand_->inbox.push_back(std::move(env));
+      if (!strand_->draining) {
+        strand_->draining = true;
+        spawn = true;
+      } else {
+        strand_->cv.notify_one();  // wake a lingering drainer
+      }
+      if (!strand_->paused && (strand_->inbox.size() >= kInboxHighMsgs ||
+                               strand_->inbox_bytes >= kInboxHighBytes)) {
+        strand_->paused = true;
+        pause = true;
+      }
     }
-    if (!strand_->paused && (strand_->inbox.size() >= kInboxHighMsgs ||
-                             strand_->inbox_bytes >= kInboxHighBytes)) {
-      strand_->paused = true;
-      pause = true;
-    }
+  }
+  if (run_inline) {
+    // An idle strand stays idle meanwhile, since only this I/O thread feeds
+    // its inbox; close() waits out this call through the reactor's remove
+    // barrier.
+    process_envelope(env);
+    return;
   }
   if (pause) {
     const std::uint64_t rid = reactor_id_.load(std::memory_order_acquire);
@@ -310,6 +340,7 @@ void Connection::drain_loop(std::shared_ptr<Strand> strand) {
         strand->paused = false;
         resume = true;
       }
+      strand->busy = true;
       Connection* conn = strand->conn;
       lock.unlock();
       // `conn` stays valid: close() waits for draining to clear, and we
@@ -317,6 +348,7 @@ void Connection::drain_loop(std::shared_ptr<Strand> strand) {
       if (resume) conn->resume_reads();
       conn->process_envelope(env);
       lock.lock();
+      strand->busy = false;
       continue;
     }
     if (strand->dead_pending) {

@@ -9,19 +9,28 @@
 // Receive path: the reactor's I/O thread decodes complete envelopes and
 // calls on_frame. Responses to pending call()s are matched right there (a
 // map insert + cv notify — never blocks), so callers waiting on a round
-// trip wake without any worker involvement. Everything else lands in the
-// connection's strand — a FIFO inbox drained by one on-demand thread that
-// runs the handler serially (preserving the old reader-loop ordering) and
-// lingers briefly for more work before exiting. Handlers may block on
-// multi-hop calls: that stalls only this connection's strand, never the
-// I/O threads. Idle connections hold no thread at all, which is what lets
-// one proxy carry 10k+ mostly-idle connections (bench_connections).
+// trip wake without any worker involvement. MPI data batches (kMpiBatch)
+// run to completion on the I/O thread too when the strand is idle (empty
+// inbox, no handler running): one data hop costs no thread handoff.
+// Standalone acks (kMpiBatchAck) always run there, since applying an ack
+// commutes with everything else on the connection. Everything else, and
+// batches that arrive while the strand has work, lands in the connection's
+// strand — a FIFO inbox drained by one on-demand thread that runs the
+// handler serially (preserving receive order) and lingers briefly for more
+// work before exiting.
+// Handlers on the strand may block on multi-hop calls: that stalls only
+// this connection's strand, never the I/O threads. Idle connections hold
+// no thread at all, which is what lets one proxy carry 10k+ mostly-idle
+// connections (bench_connections).
 //
 // Backpressure: when a strand's inbox passes a high-water mark the
 // connection pauses reactor reads — bytes then accumulate in the kernel
 // socket buffer (or in-process pipe), pushing back on the sender exactly
 // like the old one-envelope-at-a-time reader did. Reads resume at a
-// low-water mark.
+// low-water mark. On the send side, a writer waits for space in the
+// channel's bounded send queue before it takes the send lock, never while
+// holding it, and a reactor I/O thread never waits at all (it is the
+// thread that drains the queue).
 #pragma once
 
 #include <atomic>
@@ -50,9 +59,14 @@ bool is_response_op(proto::OpCode op);
 
 class Connection {
  public:
-  /// Invoked on the connection's strand (serially, in receive order) for
-  /// every envelope that is not a response to a pending call. May block;
-  /// must be thread-safe against other connections' handlers.
+  /// Invoked for every envelope that is not a response to a pending call:
+  /// on the connection's strand, serially and in receive order, or inline
+  /// on the reactor I/O thread for a kMpiBatch that finds the strand idle
+  /// and for every kMpiBatchAck (which may thus overlap a strand handler).
+  /// May block for any other op; must never block for those two (nor
+  /// hold a lock across close(), a blocking call() or a remove barrier
+  /// that their handling needs). Must be thread-safe against other
+  /// connections' handlers.
   using EnvelopeHandler =
       std::function<void(const proto::Envelope&, Connection&)>;
 
@@ -141,7 +155,8 @@ class Connection {
   /// lingering briefly when idle before the thread exits.
   static void drain_loop(std::shared_ptr<Strand> strand);
   void spawn_drainer();
-  /// Dedup + trace scope + handler (+ span-export collection). Strand only.
+  /// Dedup + trace scope + handler (+ span-export collection). Runs on the
+  /// strand, or inline on the I/O thread (see EnvelopeHandler).
   void process_envelope(const proto::Envelope& envelope);
   void send_span_export(const std::vector<telemetry::SpanRecord>& spans);
   void resume_reads();

@@ -93,7 +93,7 @@ class NodeAgent {
   void handle(const proto::Envelope& envelope, Connection& conn);
   void handle_mpi_open(const proto::Envelope& envelope, Connection& conn);
   void handle_mpi_start(const proto::Envelope& envelope);
-  void handle_mpi_batch(const proto::Envelope& envelope, Connection& conn);
+  void handle_mpi_batch(const proto::Envelope& envelope);
   void handle_mpi_batch_ack(const proto::Envelope& envelope);
   void handle_mpi_close(const proto::Envelope& envelope);
   void handle_tunnel_open(const proto::Envelope& envelope, Connection& conn);
@@ -108,6 +108,8 @@ class NodeAgent {
   /// Queues originated frames on the proxy link, together: an idle link
   /// carries them in one envelope.
   Status send_batch(std::vector<proto::MpiFrame> frames);
+  /// The one data link: this node's connection to its site proxy.
+  BatchLink proxy_link() const { return {LinkKind::kSite, config_.site}; }
 
   NodeAgentConfig config_;
   /// Ticket cache for this agent's own dials: a re-created agent config can

@@ -628,7 +628,7 @@ void ProxyServer::handle_link(const BatchLink& link,
   switch (envelope.op) {
     case proto::OpCode::kMpiBatch:
       // Hot path: counters only — no span, no dispatch timer.
-      handle_mpi_batch(envelope, conn);
+      handle_mpi_batch(link, envelope);
       return;
     case proto::OpCode::kMpiBatchAck:
       (void)batch_sender_.on_ack(link, envelope.payload);
@@ -861,10 +861,10 @@ std::optional<BatchLink> ProxyServer::rank_link(std::uint64_t app_id,
   return BatchLink{LinkKind::kSite, placement->site};
 }
 
-void ProxyServer::handle_mpi_batch(const proto::Envelope& envelope,
-                                   Connection& conn) {
+void ProxyServer::handle_mpi_batch(const BatchLink& link,
+                                   const proto::Envelope& envelope) {
   const BatchReceipt receipt = batch_receiver_.receive(
-      envelope.payload, conn, [this](proto::MpiBatch& batch) {
+      envelope.payload, link, batch_sender_, [this](proto::MpiBatch& batch) {
         for (proto::MpiFrame& frame : batch.frames)
           route_mpi_frame(std::move(frame));
       });

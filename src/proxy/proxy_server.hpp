@@ -331,7 +331,8 @@ class ProxyServer {
   void handle_mpi_start(const proto::Envelope& envelope);
   void handle_mpi_close(const proto::Envelope& envelope);
   void handle_mpi_abort_from_peer(const proto::Envelope& envelope);
-  void handle_mpi_batch(const proto::Envelope& envelope, Connection& conn);
+  void handle_mpi_batch(const BatchLink& link,
+                        const proto::Envelope& envelope);
   void handle_mpi_done_from_node(const proto::Envelope& envelope);
   void handle_mpi_done_from_peer(const proto::Envelope& envelope);
   /// Relays a tunnel op one hop toward its target node, from a node of

@@ -69,18 +69,21 @@ class SenderWindow {
   }
 
   /// Tracks a transmitted batch. `frames_per_app` maps app_id -> frame
-  /// count, for accounting when apps close under the batch. Returns the
-  /// batch's retransmit deadline.
+  /// count, for accounting when apps close under the batch. The first
+  /// deadline allows for `max_ack_delay_micros`, the longest the receiver
+  /// may hold the batch's ack, as QUIC's probe timeout does (RFC 9002
+  /// §6.2.1); a resent copy is acked at once, so backoff adds none.
+  /// Returns the batch's retransmit deadline.
   std::uint64_t track(std::uint64_t seq, Bytes wire,
              std::map<std::uint64_t, std::size_t> frames_per_app,
-             std::uint64_t now_micros) {
+             std::uint64_t now_micros, std::uint64_t max_ack_delay_micros = 0) {
     std::lock_guard<std::mutex> lock(mutex_);
     Entry e;
     e.bytes = wire.size();
     e.wire = std::move(wire);
     e.frames_per_app = std::move(frames_per_app);
     e.sent_micros = now_micros;
-    e.deadline_micros = now_micros + rto_locked();
+    e.deadline_micros = now_micros + rto_locked() + max_ack_delay_micros;
     const std::uint64_t deadline = e.deadline_micros;
     inflight_bytes_ += e.bytes;
     entries_.emplace(seq, std::move(e));
@@ -90,14 +93,21 @@ class SenderWindow {
   /// Applies ack coverage: releases every entry with seq <= cumulative or
   /// listed in selective, samples RTT from clean (never-retransmitted)
   /// releases and grows the flush budget additively per released batch.
+  /// `ack_delay_micros` is how long the receiver held the ack; it is taken
+  /// off each sample (clamped at 0) so delayed acks do not inflate srtt.
   AckOutcome on_ack(std::uint64_t cumulative,
                     const std::vector<std::uint64_t>& selective,
-                    std::uint64_t now_micros) {
+                    std::uint64_t now_micros,
+                    std::uint64_t ack_delay_micros = 0) {
     std::lock_guard<std::mutex> lock(mutex_);
     AckOutcome out;
     auto release = [&](std::map<std::uint64_t, Entry>::iterator it) {
-      if (it->second.retransmits == 0 && now_micros >= it->second.sent_micros)
-        out.rtt_samples.push_back(now_micros - it->second.sent_micros);
+      if (it->second.retransmits == 0 &&
+          now_micros >= it->second.sent_micros) {
+        const std::uint64_t rtt = now_micros - it->second.sent_micros;
+        out.rtt_samples.push_back(
+            rtt > ack_delay_micros ? rtt - ack_delay_micros : 0);
+      }
       out.released_bytes += it->second.bytes;
       inflight_bytes_ -= it->second.bytes;
       ++out.released;

@@ -94,6 +94,11 @@ TEST(Hmac, Rfc4231Case3) {
             "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
 }
 
+TEST(Hmac, EmptyKeyAndMessage) {
+  EXPECT_EQ(hex_encode(hmac_sha256(Bytes{}, Bytes{})),
+            "b613679a0814d9ec772f95d778c35fc5ff1697c493715653c6c712144292c5ad");
+}
+
 TEST(Hmac, Rfc4231Case6LongKey) {
   const Bytes key(131, 0xaa);
   EXPECT_EQ(hex_encode(hmac_sha256(

@@ -1,6 +1,8 @@
 // Tests for channels, framing and TCP.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "common/rng.hpp"
@@ -179,6 +181,28 @@ TEST(Tcp, ConnectToClosedPortFails) {
   listener.value().close();
   Result<ChannelPtr> conn = tcp_connect("127.0.0.1", port);
   EXPECT_FALSE(conn.is_ok());
+}
+
+TEST(Tcp, CloseWakesBlockedAccept) {
+  // close() races a thread blocked in accept(), as WebInterface::stop()
+  // does with its serve loop; the accept must fail, not hang or read a
+  // torn fd.
+  Result<TcpListener> listener = TcpListener::bind(0);
+  ASSERT_TRUE(listener.is_ok());
+  std::atomic<bool> returned{false};
+  Status accepted;
+  std::thread acceptor([&] {
+    accepted = listener.value().accept().status();
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  listener.value().close();
+  acceptor.join();
+  EXPECT_TRUE(returned.load());
+  EXPECT_FALSE(accepted.is_ok());
+  EXPECT_EQ(listener.value().native_fd(), -1);
+  // A second close (the destructor's) is a no-op.
+  listener.value().close();
 }
 
 TEST(Tcp, BadAddressRejected) {

@@ -37,10 +37,10 @@ TEST(Envelope, RejectsBadVersion) {
 }
 
 TEST(Envelope, AcceptsOnlyCurrentProtocolVersion) {
-  ASSERT_EQ(kProtocolVersion, 5);
-  EXPECT_TRUE(Envelope::deserialize(ping_with_version(5)).is_ok());
+  ASSERT_EQ(kProtocolVersion, 6);
+  EXPECT_TRUE(Envelope::deserialize(ping_with_version(6)).is_ok());
   // Neither the previous version nor the next one parses.
-  for (const std::uint8_t version : {std::uint8_t{4}, std::uint8_t{6}}) {
+  for (const std::uint8_t version : {std::uint8_t{5}, std::uint8_t{7}}) {
     EXPECT_EQ(Envelope::deserialize(ping_with_version(version)).status().code(),
               ErrorCode::kProtocolError)
         << "version " << int{version};
@@ -239,6 +239,19 @@ TEST(Messages, MpiBatchRoundTrip) {
   ASSERT_EQ(back.value().frames.size(), 2u);
   EXPECT_EQ(back.value().frames[0], fan);
   EXPECT_EQ(back.value().frames[1], single);
+  EXPECT_TRUE(back.value().acks.empty());
+}
+
+TEST(Messages, MpiBatchCarriesPiggybackedAcks) {
+  MpiBatch batch;
+  batch.origin = "siteA/n0";
+  batch.seq = 3;
+  batch.acks = {MpiBatchAck{"siteA", 41, {43, 47}, 250},
+                MpiBatchAck{"siteB", 7, {}, 0}};
+  const auto back = MpiBatch::parse(batch.serialize());
+  ASSERT_TRUE(back.is_ok()) << back.status().to_string();
+  EXPECT_TRUE(back.value().frames.empty());
+  EXPECT_EQ(back.value().acks, batch.acks);
 }
 
 TEST(Messages, MpiBatchOpcodeNamed) {
@@ -251,12 +264,14 @@ TEST(Messages, MpiBatchAckRoundTrip) {
   ack.origin = "siteB";
   ack.cumulative = 17;
   ack.selective = {19, 23};
+  ack.ack_delay_us = 987;
 
   const auto back = MpiBatchAck::parse(ack.serialize());
   ASSERT_TRUE(back.is_ok()) << back.status().to_string();
   EXPECT_EQ(back.value().origin, "siteB");
   EXPECT_EQ(back.value().cumulative, 17u);
   EXPECT_EQ(back.value().selective, (std::vector<std::uint64_t>{19, 23}));
+  EXPECT_EQ(back.value().ack_delay_us, 987u);
 }
 
 TEST(Messages, TunnelMessagesRoundTrip) {
@@ -356,6 +371,24 @@ TEST(Messages, MutationFuzzMpiBatch) {
   frame.payload = to_bytes("xy");
   batch.frames = {frame, frame};
   mutation_fuzz(batch, 27182);
+}
+
+TEST(Messages, MutationFuzzMpiBatchWithAcks) {
+  MpiBatch batch;
+  batch.origin = "s/n";
+  batch.seq = 12;
+  MpiFrame frame;
+  frame.app_id = 1;
+  frame.dst_ranks = {0};
+  frame.payload = to_bytes("xy");
+  batch.frames = {frame};
+  batch.acks = {MpiBatchAck{"s", 10, {12, 14}, 300},
+                MpiBatchAck{"t", 2, {}, 1}};
+  mutation_fuzz(batch, 57721);
+}
+
+TEST(Messages, MutationFuzzMpiBatchAck) {
+  mutation_fuzz(MpiBatchAck{"siteB", 17, {19, 23}, 1000}, 69314);
 }
 
 TEST(Messages, MutationFuzzShardStatus) {

@@ -190,36 +190,182 @@ proto::MpiBatch one_frame_batch(std::uint64_t app_id) {
   return batch;
 }
 
+/// A ReliableBatchReceiver at connection end b, owing its acks to end a
+/// through a sender "b" whose link resolves to b. End a records every
+/// standalone kMpiBatchAck and every kMpiBatch that comes back to it.
+class AckHarness {
+ public:
+  AckHarness()
+      : pair_(make_conn_pair(
+            [this](const proto::Envelope& env, Connection&) { record(env); },
+            null_handler())),
+        sender_("b", SenderWindowConfig{},
+                [this](const BatchLink&) { return pair_.b.get(); },
+                BatchSenderInstruments{
+                    telemetry::MetricRegistry::global().counter(
+                        "pg_test_retransmits"),
+                    telemetry::MetricRegistry::global().histogram(
+                        "pg_test_ack_rtt")}) {}
+
+  ~AckHarness() {
+    sender_.shutdown();
+    pair_.a->close();
+    pair_.b->close();
+  }
+
+  /// Hands batch (origin "x", `seq`) to the receiver as if it arrived on b.
+  BatchReceipt receive(std::uint64_t seq) {
+    proto::MpiBatch batch = one_frame_batch(7);
+    batch.origin = "x";
+    batch.seq = seq;
+    return receive(batch);
+  }
+  BatchReceipt receive(const proto::MpiBatch& batch) {
+    return receiver_.receive(batch.serialize(), link_, sender_,
+                             [this](proto::MpiBatch&) { ++delivered_; });
+  }
+
+  /// Sends one frame from b back to a, carrying whatever acks b holds.
+  Status reply() { return sender_.enqueue(link_, one_frame_batch(7).frames); }
+
+  std::vector<proto::MpiBatchAck> standalone() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return standalone_;
+  }
+  std::vector<proto::MpiBatch> replies() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return replies_;
+  }
+  int delivered() const { return delivered_.load(); }
+  std::size_t inflight_batches() {
+    return sender_.window(link_)->inflight_batches();
+  }
+
+ private:
+  void record(const proto::Envelope& env) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (env.op == proto::OpCode::kMpiBatchAck) {
+      Result<proto::MpiBatchAck> ack = proto::MpiBatchAck::parse(env.payload);
+      ASSERT_TRUE(ack.is_ok());
+      standalone_.push_back(ack.value());
+    } else if (env.op == proto::OpCode::kMpiBatch) {
+      Result<proto::MpiBatch> batch = proto::MpiBatch::parse(env.payload);
+      ASSERT_TRUE(batch.is_ok());
+      replies_.push_back(batch.value());
+    }
+  }
+
+  ConnPair pair_;
+  const BatchLink link_{LinkKind::kSite, "a"};
+  ReliableBatchSender sender_;
+  ReliableBatchReceiver receiver_;
+  std::atomic<int> delivered_{0};
+  std::mutex mutex_;
+  std::vector<proto::MpiBatchAck> standalone_;
+  std::vector<proto::MpiBatch> replies_;
+};
+
 TEST(ReliableBatch, ReceiverDeliversOnceAndAcksEveryCopy) {
-  ReliableBatchReceiver receiver;
-  std::atomic<int> delivered{0};
-  std::atomic<int> acks{0};
-  std::atomic<std::uint64_t> cumulative{0};
-  ConnPair pair = make_conn_pair(
-      [&](const proto::Envelope& env, Connection&) {
-        Result<proto::MpiBatchAck> ack = proto::MpiBatchAck::parse(env.payload);
-        if (env.op != proto::OpCode::kMpiBatchAck || !ack.is_ok()) return;
-        EXPECT_EQ(ack.value().origin, "x");
-        cumulative = ack.value().cumulative;
-        ++acks;
-      },
-      [&](const proto::Envelope& env, Connection& conn) {
-        const BatchReceipt receipt = receiver.receive(
-            env.payload, conn, [&](proto::MpiBatch&) { ++delivered; });
-        EXPECT_NE(receipt, BatchReceipt::kMalformed);
-      });
-  proto::MpiBatch batch = one_frame_batch(7);
-  batch.origin = "x";
-  batch.seq = 1;
-  // A retransmitted copy of a batch whose ack was lost.
-  for (int copy = 0; copy < 2; ++copy)
-    ASSERT_TRUE(
-        pair.a->notify(proto::OpCode::kMpiBatch, batch.serialize()).is_ok());
-  EXPECT_TRUE(eventually([&] { return acks.load() == 2; }));
-  EXPECT_EQ(delivered.load(), 1);
-  EXPECT_EQ(cumulative.load(), 1u);
-  pair.a->close();
-  pair.b->close();
+  // A retransmitted copy of a batch whose ack was lost: the first copy's
+  // ack is held, the duplicate is delivered no more and acked at once.
+  AckHarness h;
+  EXPECT_EQ(h.receive(1), BatchReceipt::kDelivered);
+  EXPECT_EQ(h.receive(1), BatchReceipt::kDuplicate);
+  ASSERT_TRUE(eventually([&] { return !h.standalone().empty(); }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const std::vector<proto::MpiBatchAck> acks = h.standalone();
+  ASSERT_EQ(acks.size(), 1u) << "the held first-copy ack went out on its own";
+  EXPECT_EQ(acks[0].origin, "x");
+  EXPECT_EQ(acks[0].cumulative, 1u);
+  EXPECT_LT(acks[0].ack_delay_us, static_cast<std::uint64_t>(kMaxAckDelay));
+  EXPECT_EQ(h.delivered(), 1);
+}
+
+TEST(ReliableBatch, HeldAckRidesNextReverseBatch) {
+  AckHarness h;
+  EXPECT_EQ(h.receive(1), BatchReceipt::kDelivered);
+  ASSERT_TRUE(h.reply().is_ok());
+  ASSERT_TRUE(eventually([&] { return h.replies().size() == 1; }));
+  const proto::MpiBatch reply = h.replies()[0];
+  ASSERT_EQ(reply.acks.size(), 1u);
+  EXPECT_EQ(reply.acks[0].origin, "x");
+  EXPECT_EQ(reply.acks[0].cumulative, 1u);
+  EXPECT_LT(reply.acks[0].ack_delay_us,
+            static_cast<std::uint64_t>(kMaxAckDelay));
+  // Carried, so nothing is left for the ack timer to send.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_TRUE(h.standalone().empty());
+}
+
+TEST(ReliableBatch, HeldAckGoesOutAloneAfterMaxDelay) {
+  AckHarness h;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(h.receive(1), BatchReceipt::kDelivered);
+  ASSERT_TRUE(eventually([&] { return !h.standalone().empty(); }));
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(waited, std::chrono::microseconds(kMaxAckDelay));
+  EXPECT_LT(waited, std::chrono::milliseconds(500));
+  const proto::MpiBatchAck ack = h.standalone()[0];
+  EXPECT_EQ(ack.cumulative, 1u);
+  // Held for the whole delay, and it says so.
+  EXPECT_GE(ack.ack_delay_us, static_cast<std::uint64_t>(kMaxAckDelay));
+}
+
+TEST(ReliableBatch, DuplicateOfAckedBatchIsAckedAtOnce) {
+  AckHarness h;
+  EXPECT_EQ(h.receive(1), BatchReceipt::kDelivered);
+  ASSERT_TRUE(eventually([&] { return h.standalone().size() == 1; }));
+  // Nothing is held now; a duplicate must not wait for the ack timer.
+  EXPECT_EQ(h.receive(1), BatchReceipt::kDuplicate);
+  ASSERT_TRUE(eventually([&] { return h.standalone().size() == 2; }));
+  const proto::MpiBatchAck ack = h.standalone()[1];
+  EXPECT_EQ(ack.cumulative, 1u);
+  EXPECT_LT(ack.ack_delay_us, static_cast<std::uint64_t>(kMaxAckDelay));
+  EXPECT_EQ(h.delivered(), 1);
+}
+
+TEST(ReliableBatch, SecondUnackedBatchForcesAck) {
+  AckHarness h;
+  EXPECT_EQ(h.receive(1), BatchReceipt::kDelivered);
+  EXPECT_EQ(h.receive(2), BatchReceipt::kDelivered);
+  ASSERT_TRUE(eventually([&] { return !h.standalone().empty(); }));
+  const proto::MpiBatchAck ack = h.standalone().back();
+  EXPECT_EQ(ack.cumulative, 2u);
+  EXPECT_LT(ack.ack_delay_us, static_cast<std::uint64_t>(kMaxAckDelay));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(h.standalone().size(), 1u);
+  EXPECT_EQ(h.delivered(), 2);
+}
+
+TEST(ReliableBatch, BulkBatchIsAckedAtOnce) {
+  AckHarness h;
+  proto::MpiBatch bulk = one_frame_batch(7);
+  bulk.origin = "x";
+  bulk.seq = 1;
+  bulk.frames[0].payload = Bytes(kLatencyLaneBytes + 1, 0xab);
+  EXPECT_EQ(h.receive(bulk), BatchReceipt::kDelivered);
+  ASSERT_TRUE(eventually([&] { return !h.standalone().empty(); }));
+  const proto::MpiBatchAck ack = h.standalone()[0];
+  EXPECT_EQ(ack.cumulative, 1u);
+  EXPECT_LT(ack.ack_delay_us, static_cast<std::uint64_t>(kMaxAckDelay));
+}
+
+TEST(ReliableBatch, PiggybackedAckReleasesSenderWindow) {
+  // b's batch to a is acked by the batch a sends back, not by a
+  // standalone ack.
+  AckHarness h;
+  ASSERT_TRUE(h.reply().is_ok());
+  ASSERT_TRUE(eventually([&] { return h.replies().size() == 1; }));
+  EXPECT_TRUE(h.replies()[0].acks.empty());
+  EXPECT_EQ(h.inflight_batches(), 1u);
+  proto::MpiBatch back = one_frame_batch(7);
+  back.origin = "x";
+  back.seq = 1;
+  // Acks for another origin in the same batch are ignored.
+  back.acks.push_back(proto::MpiBatchAck{"someone-else", 9, {}, 0});
+  back.acks.push_back(proto::MpiBatchAck{"b", 1, {}, 0});
+  EXPECT_EQ(h.receive(back), BatchReceipt::kDelivered);
+  EXPECT_EQ(h.inflight_batches(), 0u);
 }
 
 TEST(ReliableBatch, SenderAppliesOnlyItsOwnAcks) {

@@ -136,6 +136,30 @@ TEST(SenderWindow, KarnRuleSkipsRetransmittedRttSamples) {
   EXPECT_EQ(window.srtt_micros(), 0u);
 }
 
+TEST(SenderWindow, FirstDeadlineAllowsForAckDelay) {
+  SenderWindow window(small_config());
+  window.track(window.next_seq(), wire_of(10), {{7, 1}}, 0, 300);
+  EXPECT_EQ(window.next_deadline(), 1000u + 300u);
+  // The resent copy is acked at once: backoff adds no allowance.
+  ASSERT_EQ(window.take_due(1300).size(), 1u);
+  EXPECT_EQ(window.next_deadline(), 1300u + 2000u);
+}
+
+TEST(SenderWindow, AckDelayIsTakenOffRttSample) {
+  SenderWindow window(small_config());
+  window.track(window.next_seq(), wire_of(10), {{7, 1}}, 100);
+  window.track(window.next_seq(), wire_of(10), {{7, 1}}, 100);
+  // Acked at 1100 after being held 300us: the path took 700us.
+  AckOutcome out = window.on_ack(1, {}, 1100, 300);
+  ASSERT_EQ(out.rtt_samples.size(), 1u);
+  EXPECT_EQ(out.rtt_samples[0], 700u);
+  EXPECT_EQ(window.srtt_micros(), 700u);
+  // A delay longer than the whole sample clamps it at 0.
+  out = window.on_ack(2, {}, 1200, 5000);
+  ASSERT_EQ(out.rtt_samples.size(), 1u);
+  EXPECT_EQ(out.rtt_samples[0], 0u);
+}
+
 TEST(SenderWindow, AimdBudgetHalvesOnTimeoutAndRegrows) {
   SenderWindow window(small_config());
   EXPECT_EQ(window.budget_bytes(), 1000u);
