@@ -3,11 +3,15 @@
 //
 // Wakeups are targeted: deliver() signals only the blocked receivers whose
 // (src, tag) predicate can match the new message, so a fan-out delivery to
-// a mailbox with many selective receivers does not stampede them all.
+// a mailbox with many selective receivers does not stampede them all. It
+// signals them after releasing the mailbox lock: a receiver that runs at
+// once (one CPU, or a woken thread that preempts the deliverer) then finds
+// the lock free instead of blocking on it straight away.
 #pragma once
 
 #include <condition_variable>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -37,6 +41,8 @@ class Mailbox {
  private:
   /// One blocked recv(): its match predicate plus a private condition
   /// variable, registered in `waiters_` for the duration of the wait.
+  /// Shared, so a deliverer signalling it after unlocking never touches a
+  /// waiter that has already returned.
   struct Waiter {
     std::int32_t src;
     std::int32_t tag;
@@ -50,7 +56,7 @@ class Mailbox {
 
   mutable std::mutex mutex_;
   std::deque<MpiMessage> queue_;
-  std::vector<Waiter*> waiters_;
+  std::vector<std::shared_ptr<Waiter>> waiters_;
   bool closed_ = false;
 };
 
