@@ -1,9 +1,8 @@
 // Fixed-size worker pool (paper layer "Threads": management of threads for
 // the middleware, independent of the library used).
 //
-// The proxy uses it for tunnel relays and asynchronous job execution so
-// reader threads never block and bursty work cannot spawn unbounded
-// threads.
+// The proxy runs batch jobs on one, the reactor its blocking timer
+// callbacks, so bursty work cannot spawn unbounded threads.
 #pragma once
 
 #include <condition_variable>

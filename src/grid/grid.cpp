@@ -258,14 +258,18 @@ Result<std::unique_ptr<Grid>> GridBuilder::build() {
   if (grid->sharded_) {
     // Drawn last so an unsharded build's draw sequence stays untouched.
     grid->rehome_rng_ = Rng(rng.next_u64());
-    grid->start_rehome_monitor();
+    Grid* raw = grid.get();
+    grid->rehome_timer_.emplace(grid->rehome_poll_interval_,
+                                [raw] { raw->rehome_tick(); });
   }
 
   if (auto_reconnect_) {
     grid->auto_reconnect_ = true;
     grid->reconnect_policy_ = reconnect_policy_;
     grid->reconnect_poll_interval_ = reconnect_poll_interval_;
-    grid->start_reconnect_monitor();
+    Grid* raw = grid.get();
+    grid->reconnect_timer_.emplace(grid->reconnect_poll_interval_,
+                                   [raw] { raw->reconnect_tick(); });
   }
 
   return grid;
@@ -510,40 +514,20 @@ Status Grid::reconnect_link(const std::string& site_a,
   return accept_status;
 }
 
-void Grid::start_reconnect_monitor() {
-  reconnect_thread_ = std::thread([this] { reconnect_loop(); });
-}
-
-void Grid::start_rehome_monitor() {
-  rehome_thread_ = std::thread([this] { rehome_loop(); });
-}
-
-void Grid::rehome_loop() {
-  std::unique_lock<std::mutex> lock(rehome_mutex_);
-  while (!rehome_stop_) {
-    rehome_cv_.wait_for(lock,
-                        std::chrono::microseconds(rehome_poll_interval_),
-                        [this] { return rehome_stop_; });
-    if (rehome_stop_) return;
-    lock.unlock();
-
-    // A shard that shut down is dead for good (kill_proxy is permanent,
-    // like the scenario engine's kKillProxy); take it off its site's ring
-    // and re-home whatever it owned.
-    std::vector<std::pair<std::string, std::string>> dead;
-    {
-      std::lock_guard<std::mutex> rings_lock(rings_mutex_);
-      for (const auto& [site, ring] : rings_) {
-        for (const auto& shard : ring.members()) {
-          if (proxies_.at(shard)->is_shut_down())
-            dead.emplace_back(site, shard);
-        }
+void Grid::rehome_tick() {
+  // A shard that shut down is dead for good (kill_proxy is permanent, like
+  // the scenario engine's kKillProxy); take it off its site's ring and
+  // re-home whatever it owned.
+  std::vector<std::pair<std::string, std::string>> dead;
+  {
+    std::lock_guard<std::mutex> rings_lock(rings_mutex_);
+    for (const auto& [site, ring] : rings_) {
+      for (const auto& shard : ring.members()) {
+        if (proxies_.at(shard)->is_shut_down()) dead.emplace_back(site, shard);
       }
     }
-    for (const auto& [site, shard] : dead) rehome_shard(site, shard);
-
-    lock.lock();
   }
+  for (const auto& [site, shard] : dead) rehome_shard(site, shard);
 }
 
 void Grid::rehome_shard(const std::string& site, const std::string& dead) {
@@ -579,60 +563,42 @@ void Grid::rehome_shard(const std::string& site, const std::string& dead) {
   }
 }
 
-void Grid::reconnect_loop() {
-  // Per-pair consecutive-failure counter; backoff resets once a reconnect
-  // succeeds. Deterministic jitter (salted with the pair name) keeps chaos
-  // runs reproducible — same rationale as the control-RPC retries.
-  struct PairState {
-    std::uint32_t attempt = 0;
-    TimeMicros next_due = 0;
-  };
+void Grid::reconnect_tick() {
+  // Backoff per pair resets once a reconnect succeeds. Deterministic jitter
+  // (salted with the pair name) keeps chaos runs reproducible — same
+  // rationale as the control-RPC retries.
   const std::vector<std::string> site_list = sites();
-  std::map<std::pair<std::string, std::string>, PairState> state;
-
-  std::unique_lock<std::mutex> lock(reconnect_mutex_);
-  while (!reconnect_stop_) {
-    reconnect_cv_.wait_for(
-        lock, std::chrono::microseconds(reconnect_poll_interval_),
-        [this] { return reconnect_stop_; });
-    if (reconnect_stop_) return;
-    lock.unlock();
-
-    const TimeMicros now = clock_.now();
-    for (std::size_t i = 0; i < site_list.size(); ++i) {
-      for (std::size_t j = i + 1; j < site_list.size(); ++j) {
-        const std::string& a = site_list[i];
-        const std::string& b = site_list[j];
-        proxy::ProxyServer& proxy_a = *proxies_.at(a);
-        proxy::ProxyServer& proxy_b = *proxies_.at(b);
-        // A deliberately killed proxy is not a link failure; leave its
-        // links down until someone restarts it.
-        if (proxy_a.is_shut_down() || proxy_b.is_shut_down()) continue;
-        PairState& pair_state = state[{a, b}];
-        if (proxy_a.peer_alive(b) && proxy_b.peer_alive(a)) {
-          pair_state = PairState{};
-          continue;
-        }
-        if (now < pair_state.next_due) continue;
-        const Status status = reconnect_link(a, b);
-        if (status.is_ok()) {
-          PG_DEBUG << "grid: auto-reconnect restored link " << a << "<->"
-                   << b << " after " << pair_state.attempt
-                   << " failed attempts";
-          pair_state = PairState{};
-        } else {
-          ++pair_state.attempt;
-          const std::uint64_t salt = std::hash<std::string>{}(a + "|" + b);
-          pair_state.next_due =
-              now + proxy::retry_backoff(reconnect_policy_,
-                                         pair_state.attempt, salt);
-          PG_WARN << "grid: auto-reconnect " << a << "<->" << b
-                  << " failed (" << status.message() << "), attempt "
-                  << pair_state.attempt;
-        }
+  const TimeMicros now = clock_.now();
+  for (std::size_t i = 0; i < site_list.size(); ++i) {
+    for (std::size_t j = i + 1; j < site_list.size(); ++j) {
+      const std::string& a = site_list[i];
+      const std::string& b = site_list[j];
+      proxy::ProxyServer& proxy_a = *proxies_.at(a);
+      proxy::ProxyServer& proxy_b = *proxies_.at(b);
+      // A deliberately killed proxy is not a link failure; leave its links
+      // down until someone restarts it.
+      if (proxy_a.is_shut_down() || proxy_b.is_shut_down()) continue;
+      PairState& pair_state = reconnect_state_[{a, b}];
+      if (proxy_a.peer_alive(b) && proxy_b.peer_alive(a)) {
+        pair_state = PairState{};
+        continue;
+      }
+      if (now < pair_state.next_due) continue;
+      const Status status = reconnect_link(a, b);
+      if (status.is_ok()) {
+        PG_DEBUG << "grid: auto-reconnect restored link " << a << "<->" << b
+                 << " after " << pair_state.attempt << " failed attempts";
+        pair_state = PairState{};
+      } else {
+        ++pair_state.attempt;
+        const std::uint64_t salt = std::hash<std::string>{}(a + "|" + b);
+        pair_state.next_due =
+            now + proxy::retry_backoff(reconnect_policy_, pair_state.attempt,
+                                       salt);
+        PG_WARN << "grid: auto-reconnect " << a << "<->" << b << " failed ("
+                << status.message() << "), attempt " << pair_state.attempt;
       }
     }
-    lock.lock();
   }
 }
 
@@ -670,26 +636,11 @@ TrafficReport Grid::traffic_report() const {
 void Grid::shutdown() {
   if (shut_down_) return;
   shut_down_ = true;
-  // Stop the rehome monitor first: tearing proxies down below looks
-  // exactly like a mass shard death to it.
-  if (rehome_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(rehome_mutex_);
-      rehome_stop_ = true;
-    }
-    rehome_cv_.notify_all();
-    rehome_thread_.join();
-  }
-  // Stop the reconnect monitor before tearing proxies down so it never
-  // races a reconnect against a dying proxy.
-  if (reconnect_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(reconnect_mutex_);
-      reconnect_stop_ = true;
-    }
-    reconnect_cv_.notify_all();
-    reconnect_thread_.join();
-  }
+  // Stop the monitors first (a running tick finishes): tearing proxies
+  // down below looks exactly like a mass shard death to the rehome
+  // monitor, and a reconnect must never race a dying proxy.
+  if (rehome_timer_) rehome_timer_->stop();
+  if (reconnect_timer_) reconnect_timer_->stop();
   // Agents first (they join application runners), then proxies.
   for (auto& [site, nodes] : agents_) {
     for (auto& [node, agent] : nodes) agent->shutdown();

@@ -4,13 +4,12 @@
 // injection and the traffic accounting the experiments read.
 #pragma once
 
-#include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -18,6 +17,7 @@
 #include "crypto/cert.hpp"
 #include "monitor/stats_source.hpp"
 #include "net/faulty_channel.hpp"
+#include "net/reactor.hpp"
 #include "proxy/node_agent.hpp"
 #include "proxy/proxy_server.hpp"
 #include "proxy/resilience.hpp"
@@ -108,8 +108,8 @@ class GridBuilder {
   /// heartbeat intervals, retry policy, and job attempt limits in tests.
   GridBuilder& configure_proxy(std::function<void(proxy::ProxyConfig&)> hook);
 
-  /// Starts a monitor thread that watches every inter-site link and
-  /// re-establishes purged ones automatically (fresh channel + GSSL
+  /// Starts a monitor (a reactor timer) that watches every inter-site link
+  /// and re-establishes purged ones automatically (fresh channel + GSSL
   /// handshake) with exponential backoff from `policy`. Turns
   /// Grid::reconnect_link from a manual/test-only recovery call into a
   /// self-healing loop. `poll_interval` bounds detection latency.
@@ -221,10 +221,10 @@ class Grid {
   friend class GridBuilder;
   Grid() = default;
 
-  void start_reconnect_monitor();
-  void reconnect_loop();
-  void start_rehome_monitor();
-  void rehome_loop();
+  /// Monitor ticks, on the reactor's worker pool (they block on
+  /// handshakes). Each timer runs its ticks one at a time.
+  void reconnect_tick();
+  void rehome_tick();
   /// Removes `dead` from `site`'s ring and re-attaches every node it
   /// owned to that node's new ring owner (fresh channel + agent).
   void rehome_shard(const std::string& site, const std::string& dead);
@@ -258,20 +258,21 @@ class Grid {
   proxy::SecurityMode mode_ = proxy::SecurityMode::kProxyTunneling;
   TimeMicros cert_not_before_ = 0;
   TimeMicros cert_not_after_ = 0;
-  std::thread rehome_thread_;
-  std::mutex rehome_mutex_;
-  std::condition_variable rehome_cv_;
-  bool rehome_stop_ = false;
   TimeMicros rehome_poll_interval_ = 20'000;
+  std::optional<net::PeriodicTimer> rehome_timer_;
 
   // ---- auto-reconnect monitor (opt-in via GridBuilder::auto_reconnect)
   bool auto_reconnect_ = false;
   proxy::RetryPolicy reconnect_policy_;
   TimeMicros reconnect_poll_interval_ = 50'000;
-  std::thread reconnect_thread_;
-  std::mutex reconnect_mutex_;
-  std::condition_variable reconnect_cv_;
-  bool reconnect_stop_ = false;
+  /// Per-pair consecutive-failure count and next allowed attempt; touched
+  /// by reconnect ticks only.
+  struct PairState {
+    std::uint32_t attempt = 0;
+    TimeMicros next_due = 0;
+  };
+  std::map<std::pair<std::string, std::string>, PairState> reconnect_state_;
+  std::optional<net::PeriodicTimer> reconnect_timer_;
 };
 
 }  // namespace pg::grid

@@ -16,9 +16,6 @@ namespace pg::net {
 namespace {
 
 constexpr std::uint64_t kWakeupTag = 0;
-// Listener registrations share the id counter but carry the top bit in
-// their epoll tag so one loop distinguishes the two kinds.
-constexpr std::uint64_t kListenerBit = std::uint64_t{1} << 63;
 constexpr std::size_t kReadChunk = 64 * 1024;
 // Consumed-prefix size beyond which a partially decoded stream is
 // compacted instead of growing unboundedly.
@@ -74,16 +71,9 @@ struct Reactor::IoThread {
   std::thread thread;
   std::mutex ready_mutex;
   std::vector<Id> ready;  // fd-less channels with pending bytes
-  // Id (conn or listener tag) whose callbacks are running right now; the
+  // Id of the connection whose callbacks are running right now; the
   // remove barrier waits for this to move off the removed id.
   std::atomic<Id> processing{0};
-};
-
-struct Reactor::Listener {
-  Id id = 0;
-  int fd = -1;
-  std::function<void()> on_ready;
-  std::size_t io_index = 0;
 };
 
 struct Reactor::TimerEntry {
@@ -254,51 +244,6 @@ void Reactor::resume_reads(Id id) {
   notify_readable(id);
 }
 
-Result<Reactor::Id> Reactor::add_listener(
-    int fd, std::function<void()> on_accept_ready) {
-  auto listener = std::make_shared<Listener>();
-  listener->id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  listener->fd = fd;
-  listener->on_ready = std::move(on_accept_ready);
-  listener->io_index = listener->id % io_threads_.size();
-  {
-    std::lock_guard<std::mutex> lock(conns_mutex_);
-    listeners_.emplace(listener->id, listener);
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;  // level-triggered: fire until accept drains
-  ev.data.u64 = listener->id | kListenerBit;
-  IoThread& io = *io_threads_[listener->io_index];
-  if (::epoll_ctl(io.epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-    const int err = errno;
-    std::lock_guard<std::mutex> lock(conns_mutex_);
-    listeners_.erase(listener->id);
-    return Status(ErrorCode::kInternal,
-                  std::string("epoll_ctl(ADD listener): ") +
-                      std::strerror(err));
-  }
-  return listener->id;
-}
-
-void Reactor::remove_listener(Id id) {
-  std::shared_ptr<Listener> listener;
-  {
-    std::lock_guard<std::mutex> lock(conns_mutex_);
-    auto it = listeners_.find(id);
-    if (it == listeners_.end()) return;
-    listener = std::move(it->second);
-    listeners_.erase(it);
-  }
-  IoThread& io = *io_threads_[listener->io_index];
-  ::epoll_ctl(io.epoll_fd, EPOLL_CTL_DEL, listener->fd, nullptr);
-  if (std::this_thread::get_id() != io.thread.get_id()) {
-    std::unique_lock<std::mutex> lock(barrier_mutex_);
-    barrier_cv_.wait(lock, [&] {
-      return io.processing.load(std::memory_order_acquire) != id;
-    });
-  }
-}
-
 Reactor::TimerId Reactor::schedule_timer(TimeMicros delay,
                                          std::function<void()> fn,
                                          TimerThread where) {
@@ -330,10 +275,6 @@ bool Reactor::cancel_timer(TimerId id) {
   }
   timer_cv_.wait(lock, [&] { return timers_.find(id) == timers_.end(); });
   return false;
-}
-
-bool Reactor::post(std::function<void()> task) {
-  return workers_.submit(std::move(task));
 }
 
 Reactor::Stats Reactor::stats() const {
@@ -386,15 +327,6 @@ std::shared_ptr<Reactor::Conn> Reactor::find_and_begin(IoThread& io, Id id) {
   std::lock_guard<std::mutex> lock(conns_mutex_);
   auto it = conns_.find(id);
   if (it == conns_.end()) return nullptr;
-  io.processing.store(id, std::memory_order_release);
-  return it->second;
-}
-
-std::shared_ptr<Reactor::Listener> Reactor::find_listener_and_begin(
-    IoThread& io, Id id) {
-  std::lock_guard<std::mutex> lock(conns_mutex_);
-  auto it = listeners_.find(id);
-  if (it == listeners_.end()) return nullptr;
   io.processing.store(id, std::memory_order_release);
   return it->second;
 }
@@ -619,15 +551,6 @@ void Reactor::io_loop(std::size_t index) {
         std::uint64_t drained = 0;
         [[maybe_unused]] ssize_t r =
             ::read(io.event_fd, &drained, sizeof(drained));
-        continue;
-      }
-      if ((tag & kListenerBit) != 0) {
-        std::shared_ptr<Listener> listener =
-            find_listener_and_begin(io, tag & ~kListenerBit);
-        if (listener) {
-          listener->on_ready();
-          end_processing(io);
-        }
         continue;
       }
       handle_conn_event(io, tag, mask);

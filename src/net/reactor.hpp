@@ -41,7 +41,7 @@ struct ReactorOptions {
   /// Event-loop threads. One suffices for tens of thousands of mostly-idle
   /// connections; bump for multi-core hot paths.
   std::size_t io_threads = 1;
-  /// Shared worker pool for strand dispatch and timer callbacks.
+  /// Shared worker pool for kWorkers timer callbacks.
   std::size_t workers = 8;
 };
 
@@ -95,12 +95,6 @@ class Reactor {
   void pause_reads(Id id);
   void resume_reads(Id id);
 
-  /// Registers a listening socket; `on_accept_ready` runs on an I/O thread
-  /// whenever a connection is pending — accept and hand off quickly. The
-  /// fd is made non-blocking and watched level-triggered.
-  Result<Id> add_listener(int fd, std::function<void()> on_accept_ready);
-  void remove_listener(Id id);
-
   /// Where a timer callback runs.
   enum class TimerThread {
     kWorkers,  // the shared worker pool; the callback may block
@@ -117,9 +111,6 @@ class Reactor {
   /// callback itself) and returns false.
   bool cancel_timer(TimerId id);
 
-  /// Runs `task` on the shared worker pool.
-  bool post(std::function<void()> task);
-
   /// True on an event-loop thread of any Reactor. Such a thread must never
   /// wait on write backpressure: it is the thread that drains the queue.
   static bool on_io_thread();
@@ -131,7 +122,6 @@ class Reactor {
  private:
   struct Conn;
   struct IoThread;
-  struct Listener;
   struct TimerEntry;
 
   void io_loop(std::size_t index);
@@ -139,7 +129,6 @@ class Reactor {
   /// Atomically resolves `id` and marks it in-flight on `io` — the other
   /// half of remove_channel's barrier.
   std::shared_ptr<Conn> find_and_begin(IoThread& io, Id id);
-  std::shared_ptr<Listener> find_listener_and_begin(IoThread& io, Id id);
   void end_processing(IoThread& io);
   void notify_readable(Id id);
   void mark_want_write(const std::shared_ptr<Conn>& conn);
@@ -159,7 +148,6 @@ class Reactor {
 
   mutable std::mutex conns_mutex_;
   std::unordered_map<Id, std::shared_ptr<Conn>> conns_;
-  std::unordered_map<Id, std::shared_ptr<Listener>> listeners_;
   std::atomic<Id> next_id_{1};
 
   std::mutex barrier_mutex_;

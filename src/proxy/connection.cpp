@@ -150,9 +150,43 @@ Status Connection::notify(proto::OpCode op, BytesView payload,
   return send_parts(op, request_id, payload);
 }
 
+void Connection::call_async(proto::OpCode op, BytesView payload,
+                            std::uint64_t id, TimeMicros timeout,
+                            ReplyCallback done) {
+  std::uint64_t attempt = 0;
+  {
+    std::lock_guard<std::mutex> lock(pending_mutex_);
+    attempt = ++attempts_;
+    PendingCall& slot = pending_[id];
+    slot.done = std::move(done);
+    slot.attempt = attempt;
+    // Armed under the lock, so a deadline that fires at once still finds
+    // the slot filled in.
+    slot.deadline = net::Reactor::global().schedule_timer(
+        timeout,
+        [this, id, attempt] {
+          // Built first: once the slot is taken, close() no longer waits
+          // for this callback, so `this` may go.
+          Status late = error(ErrorCode::kDeadlineExceeded,
+                              "call to " + peer_name_ + " timed out");
+          if (std::optional<PendingCall> taken = take_pending(id, attempt))
+            taken->done(std::move(late));
+        },
+        net::Reactor::TimerThread::kIo);
+  }
+  // Once the connection is dead (alive_ is cleared before fail_pending
+  // runs) the send fails and takes the slot back.
+  const Status sent = send_parts(op, id, payload);
+  if (sent.is_ok()) return;
+  if (std::optional<PendingCall> slot = take_pending(id, attempt))
+    slot->done(sent);
+}
+
 Result<proto::Envelope> Connection::call(proto::OpCode op, BytesView payload,
                                          TimeMicros timeout) {
-  return call_with_id(op, payload, allocate_request_id(), timeout);
+  return await_result<Result<proto::Envelope>>([&](ReplyCallback done) {
+    call_async(op, payload, allocate_request_id(), timeout, std::move(done));
+  });
 }
 
 std::uint64_t Connection::allocate_request_id() {
@@ -162,43 +196,35 @@ std::uint64_t Connection::allocate_request_id() {
   return id;
 }
 
-Result<proto::Envelope> Connection::call_with_id(proto::OpCode op,
-                                                 BytesView payload,
-                                                 std::uint64_t id,
-                                                 TimeMicros timeout) {
+std::optional<Connection::PendingCall> Connection::take_pending(
+    std::uint64_t id, std::uint64_t attempt) {
+  std::optional<PendingCall> slot;
   {
     std::lock_guard<std::mutex> lock(pending_mutex_);
-    pending_[id];  // create empty slot (or re-arm it on a retry)
+    const auto it = pending_.find(id);
+    if (it == pending_.end() ||
+        (attempt != 0 && it->second.attempt != attempt))
+      return std::nullopt;
+    slot.emplace(std::move(it->second));
+    pending_.erase(it);
   }
+  // From the deadline callback itself this is a no-op.
+  net::Reactor::global().cancel_timer(slot->deadline);
+  return slot;
+}
 
-  const Status sent = send_parts(op, id, payload);
-  if (!sent.is_ok()) {
+void Connection::fail_pending() {
+  std::map<std::uint64_t, PendingCall> failed;
+  {
     std::lock_guard<std::mutex> lock(pending_mutex_);
-    pending_.erase(id);
-    return sent;
+    failed.swap(pending_);
   }
-
-  std::unique_lock<std::mutex> lock(pending_mutex_);
-  const bool done = pending_cv_.wait_for(
-      lock, std::chrono::microseconds(timeout), [this, id] {
-        const auto it = pending_.find(id);
-        return it == pending_.end() || it->second.response.has_value() ||
-               it->second.failed;
-      });
-
-  const auto it = pending_.find(id);
-  if (it == pending_.end())
-    return error(ErrorCode::kInternal, "pending call slot vanished");
-  PendingCall slot = std::move(it->second);
-  pending_.erase(it);
-
-  if (slot.response.has_value()) return std::move(*slot.response);
-  if (slot.failed || !alive_.load(std::memory_order_acquire))
-    return error(ErrorCode::kUnavailable,
-                 "connection to " + peer_name_ + " failed mid-call");
-  (void)done;
-  return error(ErrorCode::kDeadlineExceeded,
-               "call to " + peer_name_ + " timed out");
+  for (auto& [id, slot] : failed) {
+    // Waits out a deadline callback that is running; it finds no slot.
+    net::Reactor::global().cancel_timer(slot.deadline);
+    slot.done(error(ErrorCode::kUnavailable,
+                    "connection to " + peer_name_ + " failed mid-call"));
+  }
 }
 
 Status Connection::respond(const proto::Envelope& request, proto::OpCode op,
@@ -229,12 +255,8 @@ void Connection::on_frame(BytesView frame) {
   proto::Envelope env = parsed.take();
 
   if (env.request_id != 0 && is_response_op(env.op)) {
-    std::unique_lock<std::mutex> lock(pending_mutex_);
-    const auto it = pending_.find(env.request_id);
-    if (it != pending_.end()) {
-      it->second.response = std::move(env);
-      lock.unlock();
-      pending_cv_.notify_all();
+    if (std::optional<PendingCall> slot = take_pending(env.request_id, 0)) {
+      slot->done(std::move(env));
       return;
     }
     // Not one of ours: ops like kTunnelData travel both as requests and
@@ -294,13 +316,9 @@ void Connection::on_stream_closed(const Status& reason) {
                           ? error(ErrorCode::kUnavailable, "link closed")
                           : reason);
   alive_.store(false, std::memory_order_release);
-  // Fail waiters immediately — a blocked call() must not wait for the
+  // Fail waiters immediately — a pending call must not wait for the
   // strand to finish whatever it is handling.
-  {
-    std::lock_guard<std::mutex> lock(pending_mutex_);
-    for (auto& [id, slot] : pending_) slot.failed = true;
-  }
-  pending_cv_.notify_all();
+  fail_pending();
 
   // Defer the on_close notification through the strand so it runs after
   // every already-delivered envelope, off the I/O thread (it may block).
@@ -492,11 +510,7 @@ void Connection::close(const Status& reason) {
       strand_->cv.wait(lock, [this] { return !strand_->draining; });
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(pending_mutex_);
-    for (auto& [id, slot] : pending_) slot.failed = true;
-  }
-  pending_cv_.notify_all();
+  fail_pending();
   finalize_close();
 }
 

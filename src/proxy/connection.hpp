@@ -7,21 +7,22 @@
 // GSSL when the deployment or an explicit request demands it).
 //
 // Receive path: the reactor's I/O thread decodes complete envelopes and
-// calls on_frame. Responses to pending call()s are matched right there (a
-// map insert + cv notify — never blocks), so callers waiting on a round
-// trip wake without any worker involvement. MPI data batches (kMpiBatch)
-// run to completion on the I/O thread too when the strand is idle (empty
-// inbox, no handler running): one data hop costs no thread handoff.
-// Standalone acks (kMpiBatchAck) always run there, since applying an ack
-// commutes with everything else on the connection. Everything else, and
-// batches that arrive while the strand has work, lands in the connection's
-// strand — a FIFO inbox drained by one on-demand thread that runs the
-// handler serially (preserving receive order) and lingers briefly for more
-// work before exiting.
-// Handlers on the strand may block on multi-hop calls: that stalls only
-// this connection's strand, never the I/O threads. Idle connections hold
-// no thread at all, which is what lets one proxy carry 10k+ mostly-idle
-// connections (bench_connections).
+// calls on_frame. A response runs its call's continuation right there
+// (call_async; a reactor timer fails it at the deadline), so a relay holds
+// no thread while it waits, and the blocking call() is a latch over it. MPI
+// data batches (kMpiBatch) run to completion on the I/O thread too when
+// the strand is idle (empty inbox, no handler running): one data hop costs
+// no thread handoff. Standalone acks (kMpiBatchAck) always run there, since
+// applying an ack commutes with everything else on the connection.
+// Everything else, and batches that arrive while the strand has work, lands
+// in the connection's strand — a FIFO inbox drained by one on-demand thread
+// that runs the handler serially (preserving receive order) and lingers
+// briefly for more work before exiting.
+// Strand handlers may still block (node-agent services, extension ops):
+// that stalls only this connection's strand, never the I/O threads. The
+// proxy's own handlers no longer do. Idle connections hold no thread at
+// all, which is what lets one proxy carry 10k+ mostly-idle connections
+// (bench_connections).
 //
 // Backpressure: when a strand's inbox passes a high-water mark the
 // connection pauses reactor reads — bytes then accumulate in the kernel
@@ -37,6 +38,7 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -48,6 +50,7 @@
 #include "common/clock.hpp"
 #include "common/status.hpp"
 #include "net/channel.hpp"
+#include "net/reactor.hpp"
 #include "proto/envelope.hpp"
 #include "telemetry/trace.hpp"
 #include "tls/link.hpp"
@@ -57,7 +60,17 @@ namespace pg::proxy {
 /// Ops that only ever travel as responses to a call().
 bool is_response_op(proto::OpCode op);
 
-class Connection {
+/// Blocks until `start` hands its one result to the callback it is given:
+/// the bridge from a continuation API to a blocking one.
+template <typename T, typename Start>
+T await_result(Start&& start) {
+  auto promise = std::make_shared<std::promise<T>>();
+  std::future<T> result = promise->get_future();
+  start([promise](T value) { promise->set_value(std::move(value)); });
+  return result.get();
+}
+
+class Connection : public std::enable_shared_from_this<Connection> {
  public:
   /// Invoked for every envelope that is not a response to a pending call:
   /// on the connection's strand, serially and in receive order, or inline
@@ -69,6 +82,13 @@ class Connection {
   /// connections' handlers.
   using EnvelopeHandler =
       std::function<void(const proto::Envelope&, Connection&)>;
+
+  /// Continuation of a call_async(): the response envelope, or why none
+  /// came. Runs exactly once, on the I/O thread that read the response, on
+  /// I/O thread 0 at the deadline, on the thread that closed the
+  /// connection, or inside call_async() itself when the send fails. Must
+  /// not block.
+  using ReplyCallback = std::function<void(Result<proto::Envelope>)>;
 
   /// `initiator` selects the request-id parity (odd for the connecting
   /// side, even for the accepting side) so ids never collide between the
@@ -102,31 +122,34 @@ class Connection {
   Status notify(proto::OpCode op, BytesView payload,
                 std::uint64_t request_id = 0);
 
-  /// Request/response round trip. Fails kDeadlineExceeded after `timeout`,
-  /// kUnavailable if the connection dies first.
+  /// Sends a request with `request_id` (from allocate_request_id) and
+  /// parks `done` until its response arrives. Fails kDeadlineExceeded after
+  /// `timeout`, kUnavailable if the connection dies first. A late response
+  /// to an earlier attempt with the same id completes this one. One call
+  /// per id may be pending at a time.
+  void call_async(proto::OpCode op, BytesView payload,
+                  std::uint64_t request_id, TimeMicros timeout,
+                  ReplyCallback done);
+
+  /// Blocking request/response round trip: a latch over call_async().
   Result<proto::Envelope> call(proto::OpCode op, BytesView payload,
                                TimeMicros timeout = 30 * kMicrosPerSecond);
 
-  /// Reserves a request id for call_with_id(). Retry loops allocate one id
-  /// per logical request and reuse it across attempts so the receiver's
-  /// dedup window recognizes retransmissions.
+  /// Reserves a request id. Retry loops allocate one id per logical
+  /// request and reuse it across attempts so the receiver's dedup window
+  /// recognizes retransmissions.
   std::uint64_t allocate_request_id();
-
-  /// call() with a caller-provided id (from allocate_request_id). A late
-  /// response to an earlier attempt with the same id satisfies the retry.
-  Result<proto::Envelope> call_with_id(proto::OpCode op, BytesView payload,
-                                       std::uint64_t request_id,
-                                       TimeMicros timeout);
 
   /// Sends a response correlated with `request`, and caches it in the dedup
   /// window so a retransmitted request gets the same answer back.
   Status respond(const proto::Envelope& request, proto::OpCode op,
                  BytesView payload);
 
-  /// Closes the link, detaches from the reactor, fails pending calls and
-  /// quiesces the strand (unless called from it). `reason` is recorded as
-  /// the close reason (first cause wins) — pass why when the caller knows
-  /// better than "closed locally" (e.g. heartbeat timeout).
+  /// Closes the link, detaches from the reactor, quiesces the strand
+  /// (unless called from it) and fails pending calls on this thread.
+  /// `reason` is recorded as the close reason (first cause wins) — pass why
+  /// when the caller knows better than "closed locally" (e.g. heartbeat
+  /// timeout).
   void close();
   void close(const Status& reason);
 
@@ -146,6 +169,11 @@ class Connection {
 
  private:
   struct Strand;
+  struct PendingCall {
+    ReplyCallback done;
+    net::Reactor::TimerId deadline = 0;
+    std::uint64_t attempt = 0;  // tells a stale deadline from the live one
+  };
 
   /// Reactor I/O-thread callbacks. Neither may block.
   void on_frame(BytesView frame);
@@ -170,6 +198,12 @@ class Connection {
                     BytesView payload);
   /// Records `reason` as the close reason if none is set yet.
   void record_close_reason(const Status& reason);
+  /// Removes the pending call for `id` (of `attempt`, or any when 0) and
+  /// cancels its deadline; nullopt when something else completed it.
+  std::optional<PendingCall> take_pending(std::uint64_t id,
+                                          std::uint64_t attempt);
+  /// Fails every pending call with kUnavailable.
+  void fail_pending();
 
   std::string peer_name_;
   net::ChannelPtr channel_;  // owned; link_ references it
@@ -191,15 +225,11 @@ class Connection {
   Status close_reason_;  // Ok until the connection dies; guarded by ^
   std::function<void(const Status&)> on_close_;
 
-  // Pending calls: id -> slot the I/O thread fills.
-  struct PendingCall {
-    std::optional<proto::Envelope> response;
-    bool failed = false;
-  };
+  // Pending calls by request id; all guarded by pending_mutex_.
   std::mutex pending_mutex_;
-  std::condition_variable pending_cv_;
   std::map<std::uint64_t, PendingCall> pending_;
   std::uint64_t next_id_;  // steps by 2; parity from `initiator`
+  std::uint64_t attempts_ = 0;
 
   // Receiver-side dedup window, so retried requests stay idempotent: an
   // incoming request id that is still being handled is dropped, one whose
@@ -218,6 +248,8 @@ class Connection {
 /// base of Connection::last_activity().
 TimeMicros steady_micros();
 
-using ConnectionPtr = std::unique_ptr<Connection>;
+/// Shared so that a continuation can pin the connection it answers on
+/// (shared_from_this()) past a reconnect that retires it.
+using ConnectionPtr = std::shared_ptr<Connection>;
 
 }  // namespace pg::proxy

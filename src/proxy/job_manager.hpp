@@ -64,8 +64,10 @@ class JobManager {
   };
   using Runner = std::function<RunOutcome(const JobRecord&)>;
 
-  JobManager(ThreadPool& pool, const Clock& clock)
-      : pool_(pool), clock_(clock) {}
+  /// Ids count up from `first_id`; a proxy salts it per site so job ids
+  /// are distinct grid-wide.
+  JobManager(ThreadPool& pool, const Clock& clock, std::uint64_t first_id = 1)
+      : pool_(pool), clock_(clock), next_id_(first_id) {}
 
   /// Enqueues a job; returns its id immediately. A job whose attempt fails
   /// with a transient error (kUnavailable, kDeadlineExceeded) moves to
@@ -100,7 +102,7 @@ class JobManager {
   mutable std::mutex mutex_;
   mutable std::condition_variable changed_;
   std::map<std::uint64_t, JobRecord> jobs_;
-  std::uint64_t next_id_ = 1;
+  std::uint64_t next_id_;
 };
 
 }  // namespace pg::proxy

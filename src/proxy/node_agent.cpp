@@ -82,7 +82,11 @@ NodeAgent::NodeAgent(NodeAgentConfig config)
                   "kMpiBatchAck round-trip time, clean (never-retransmitted) "
                   "batches",
                   telemetry::duration_buckets_micros(),
-                  {{"site", config_.site}, {"sender", config_.node_name}})}) {}
+                  {{"site", config_.site}, {"sender", config_.node_name}})}),
+      // Proxies key relayed tunnels by id alone: a per-node 64-bit salt
+      // keeps every node's ids apart with no protocol change.
+      next_tunnel_id_(
+          std::hash<std::string>{}(config_.site + "/" + config_.node_name)) {}
 
 Result<std::unique_ptr<NodeAgent>> NodeAgent::create(NodeAgentConfig config,
                                                      net::ChannelPtr channel) {

@@ -131,7 +131,7 @@ class NodeAgent {
   std::map<std::string, ServiceHandler> services_;
   std::map<std::uint64_t, std::string> open_tunnels_;  // tunnel -> service
 
-  std::atomic<std::uint64_t> next_tunnel_id_{1};
+  std::atomic<std::uint64_t> next_tunnel_id_;
 };
 
 using NodeAgentPtr = std::unique_ptr<NodeAgent>;

@@ -29,7 +29,8 @@ Status PeerTable::add(const BatchLink& link, ConnectionPtr conn) {
       if (it->second->alive())
         return error(ErrorCode::kAlreadyExists,
                      "peer already connected: " + link.name);
-      // Reconnection after a failure: retire the dead connection.
+      // Reconnection after a failure: retire the dead connection. A
+      // continuation that pinned it still holds it until it answers.
       retired = std::move(it->second);
     }
     it->second = std::move(conn);
@@ -44,17 +45,18 @@ Status PeerTable::add(const BatchLink& link, ConnectionPtr conn) {
 }
 
 Connection* PeerTable::get(const BatchLink& link) const {
+  return pin(link).get();
+}
+
+ConnectionPtr PeerTable::pin(const BatchLink& link) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = links_.find(link);
-  return it == links_.end() ? nullptr : it->second.get();
+  return it == links_.end() ? nullptr : it->second;
 }
 
 Connection* PeerTable::live(const BatchLink& link) const {
-  // alive() under the lock: add() may retire (destroy) a dead connection.
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = links_.find(link);
-  return it != links_.end() && it->second->alive() ? it->second.get()
-                                                   : nullptr;
+  const ConnectionPtr conn = pin(link);
+  return conn != nullptr && conn->alive() ? conn.get() : nullptr;
 }
 
 std::vector<std::string> PeerTable::names(LinkKind kind) const {
@@ -82,13 +84,13 @@ void PeerTable::stop() {
 }
 
 void PeerTable::close_all() {
-  std::vector<Connection*> open;
+  std::vector<ConnectionPtr> open;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     open.reserve(links_.size());
-    for (const auto& [link, conn] : links_) open.push_back(conn.get());
+    for (const auto& [link, conn] : links_) open.push_back(conn);
   }
-  for (Connection* conn : open) conn->close();
+  for (const ConnectionPtr& conn : open) conn->close();
 }
 
 void PeerTable::on_close(const BatchLink& link, const Status& reason) {
@@ -100,12 +102,12 @@ void PeerTable::on_close(const BatchLink& link, const Status& reason) {
 
 void PeerTable::probe() {
   const TimeMicros now = steady_micros();
-  std::vector<std::pair<Connection*, TimeMicros>> sites;  // with idle time
+  std::vector<std::pair<ConnectionPtr, TimeMicros>> sites;  // with idle time
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& [link, conn] : links_)
       if (link.kind == LinkKind::kSite && conn->alive())
-        sites.emplace_back(conn.get(), now - conn->last_activity());
+        sites.emplace_back(conn, now - conn->last_activity());
   }
   for (const auto& [conn, idle] : sites) {
     if (idle > heartbeat_interval_) instruments_.heartbeat_missed.increment();

@@ -52,6 +52,9 @@ class PeerTable {
   /// The link's connection, dead or alive; null when unknown. The pointer
   /// stays valid until add() replaces the (dead) link or the table dies.
   Connection* get(const BatchLink& link) const;
+  /// get(), as a reference that keeps the connection alive past that: what
+  /// a continuation that answers on it later captures.
+  ConnectionPtr pin(const BatchLink& link) const;
   /// The link's connection while it is alive; null when unknown or dead.
   Connection* live(const BatchLink& link) const;
   /// Names of every link of `kind`, in name order.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <thread>
 
 #include "common/logging.hpp"
 #include "common/serde.hpp"
@@ -19,7 +18,8 @@ constexpr std::uint64_t kRankRamMb = 64;
 constexpr std::size_t kMaxTraceRoutes = 1024;
 
 std::uint64_t site_salt(const std::string& site) {
-  // Distinct app-id spaces per origin proxy so ids never collide grid-wide.
+  // Distinct app-id and job-id spaces per origin proxy so ids never
+  // collide grid-wide.
   return static_cast<std::uint64_t>(std::hash<std::string>{}(site) & 0xffff)
          << 48;
 }
@@ -36,6 +36,15 @@ std::vector<std::string> shard_group(const ProxyConfig& config) {
   for (std::uint32_t i = 0; i < count; ++i)
     members.push_back(shard_name(logical, i));
   return members;
+}
+
+/// Answers `request` with a kError carrying `why`.
+void respond_error(Connection& conn, const proto::Envelope& request,
+                   const Status& why) {
+  (void)conn.respond(
+      request, proto::OpCode::kError,
+      proto::ErrorMessage{static_cast<std::uint16_t>(why.code()), why.message()}
+          .serialize());
 }
 
 /// Sender-window tuning of a proxy's data links, from its config.
@@ -58,7 +67,7 @@ ProxyServer::ProxyServer(ProxyConfig config)
       rng_(config_.rng_seed),
       next_app_id_(site_salt(config_.site) + 1),
       job_workers_(std::max<std::uint32_t>(1, config_.job_workers)),
-      job_manager_(job_workers_, *config_.clock),
+      job_manager_(job_workers_, *config_.clock, site_salt(config_.site) + 1),
       instruments_(config_.site),
       links_(
           config_.site, instruments_,
@@ -390,7 +399,9 @@ AppRunResult ProxyServer::run_app(const std::string& user, BytesView token,
   Status open_status;
   for (const auto& site_name : involved) {
     if (site_name == config_.site) {
-      open_status = open_app_locally(routing, "");
+      open_status = await_result<Status>([&](auto done) {
+        open_app_locally(routing, "", std::move(done));
+      });
     } else {
       proto::MpiOpen open;
       open.app_id = routing.app_id;
@@ -495,11 +506,16 @@ AppRunResult ProxyServer::run_app(const std::string& user, BytesView token,
   return result;
 }
 
-Status ProxyServer::open_app_locally(const AppRouting& routing,
-                                     const std::string& origin_site) {
+void ProxyServer::open_app_locally(const AppRouting& routing,
+                                   const std::string& origin_site,
+                                   std::function<void(const Status&)> done) {
   const std::vector<std::string> my_nodes =
       routing.nodes_on_site(config_.site);
-  if (my_nodes.empty()) return Status::ok();
+  if (my_nodes.empty()) return done(Status::ok());
+  for (const auto& node : my_nodes) {
+    if (links_.get({LinkKind::kNode, node}) == nullptr)
+      return done(error(ErrorCode::kNotFound, "no such node: " + node));
+  }
 
   proto::MpiOpen open;
   open.app_id = routing.app_id;
@@ -516,33 +532,50 @@ Status ProxyServer::open_app_locally(const AppRouting& routing,
     app.pending_nodes.insert(my_nodes.begin(), my_nodes.end());
   }
 
-  // Bound the node round trips: a node link swallowing the open must not
-  // stall the launch past the retry budget.
+  // Every node's open goes out at once; the first failure or the last ack
+  // answers. Bound the node round trips: a node link swallowing the open
+  // must not stall the launch past the retry budget.
+  struct Opening {
+    std::mutex mutex;
+    std::size_t waiting;
+    bool answered = false;
+    std::function<void(const Status&)> done;
+  };
+  auto opening = std::make_shared<Opening>();
+  opening->waiting = my_nodes.size();
+  opening->done = std::move(done);
   const TimeMicros node_budget =
       config_.retry.per_try_timeout * (config_.retry.max_attempts + 1);
+  const Bytes payload = open.serialize();
   for (const auto& node : my_nodes) {
-    const BatchLink link{LinkKind::kNode, node};
-    if (links_.get(link) == nullptr)
-      return error(ErrorCode::kNotFound, "no such node: " + node);
-    // Node round trips are intra-site: retried like peer calls but not
-    // counted as inter-proxy control traffic.
-    Result<proto::Envelope> ack = call_with_retry(
-        link, proto::OpCode::kMpiOpen, open.serialize(), node_budget);
-    if (!ack.is_ok()) return ack.status();
-    Result<proto::MpiOpenAck> parsed =
-        proto::MpiOpenAck::parse(ack.value().payload);
-    if (!parsed.is_ok()) return parsed.status();
-    if (!parsed.value().ok)
-      return error(ErrorCode::kFailedPrecondition,
-                   node + ": " + parsed.value().reason);
-    // Load accounting: the scheduled ranks now occupy the node.
     const std::size_t rank_count =
         routing.ranks_on_node(config_.site, node).size();
-    for (std::size_t i = 0; i < rank_count; ++i) {
-      (void)collector_.process_started(node, kRankRamMb);
-    }
+    // Node round trips are intra-site: retried like peer calls but not
+    // counted as inter-proxy control traffic.
+    call_with_retry(
+        {LinkKind::kNode, node}, proto::OpCode::kMpiOpen, payload,
+        node_budget,
+        [this, opening, node, rank_count](Result<proto::Envelope> ack) {
+          Result<proto::MpiOpenAck> parsed =
+              ack.is_ok() ? proto::MpiOpenAck::parse(ack.value().payload)
+                          : Result<proto::MpiOpenAck>(ack.status());
+          Status status = parsed.status();
+          if (status.is_ok() && !parsed.value().ok)
+            status = error(ErrorCode::kFailedPrecondition,
+                           node + ": " + parsed.value().reason);
+          // Load accounting: the scheduled ranks now occupy the node.
+          for (std::size_t i = 0; status.is_ok() && i < rank_count; ++i)
+            (void)collector_.process_started(node, kRankRamMb);
+          {
+            std::lock_guard<std::mutex> lock(opening->mutex);
+            --opening->waiting;
+            if (opening->answered || (status.is_ok() && opening->waiting > 0))
+              return;
+            opening->answered = true;
+          }
+          opening->done(status);
+        });
   }
-  return Status::ok();
 }
 
 void ProxyServer::start_app_locally(std::uint64_t app_id) {
@@ -691,20 +724,9 @@ void ProxyServer::handle_peer(const proto::Envelope& envelope,
     case proto::OpCode::kJobQuery:
       handle_job_query(envelope, conn);
       return;
-    case proto::OpCode::kMpiOpen: {
-      // Opening blocks on kMpiOpen round trips to every hosting node; run
-      // it on the worker pool so this peer's strand keeps draining control
-      // traffic meanwhile. `conn` outlives the task: connections are only
-      // destroyed with the proxy, after workers_.shutdown().
-      const proto::Envelope request = envelope;
-      Connection* source = &conn;
-      const telemetry::TraceContext trace = telemetry::Tracer::current();
-      relay_async([this, request, source, trace] {
-        telemetry::ScopedTraceContext scope(trace);
-        handle_mpi_open_from_peer(request, *source);
-      });
+    case proto::OpCode::kMpiOpen:
+      handle_mpi_open_from_peer(envelope, conn);
       return;
-    }
     case proto::OpCode::kMpiStart:
       handle_mpi_start(envelope);
       return;
@@ -802,13 +824,22 @@ void ProxyServer::handle_auth_request(const proto::Envelope& envelope,
 
 void ProxyServer::handle_mpi_open_from_peer(const proto::Envelope& envelope,
                                             Connection& conn) {
+  // The answer comes from the last node ack's continuation: it pins the
+  // connection (a reconnect may retire it meanwhile) and answers under the
+  // request's trace.
+  auto answer = [source = conn.shared_from_this(), request = envelope,
+                 trace = telemetry::Tracer::current()](
+                    const proto::MpiOpenAck& ack) {
+    telemetry::ScopedTraceContext scope(trace);
+    (void)source->respond(request, proto::OpCode::kMpiOpenAck,
+                          ack.serialize());
+  };
   Result<proto::MpiOpen> open = proto::MpiOpen::parse(envelope.payload);
   proto::MpiOpenAck ack;
   if (!open.is_ok()) {
     ack.ok = false;
     ack.reason = open.status().to_string();
-    (void)conn.respond(envelope, proto::OpCode::kMpiOpenAck, ack.serialize());
-    return;
+    return answer(ack);
   }
   ack.app_id = open.value().app_id;
 
@@ -820,8 +851,7 @@ void ProxyServer::handle_mpi_open_from_peer(const proto::Envelope& envelope,
   if (!allowed.is_ok()) {
     ack.ok = false;
     ack.reason = allowed.to_string();
-    (void)conn.respond(envelope, proto::OpCode::kMpiOpenAck, ack.serialize());
-    return;
+    return answer(ack);
   }
 
   AppRouting routing;
@@ -831,10 +861,12 @@ void ProxyServer::handle_mpi_open_from_peer(const proto::Envelope& envelope,
   routing.placements = open.value().placements;
   routing.build_index();
 
-  const Status opened = open_app_locally(routing, conn.peer_name());
-  ack.ok = opened.is_ok();
-  if (!opened.is_ok()) ack.reason = opened.to_string();
-  (void)conn.respond(envelope, proto::OpCode::kMpiOpenAck, ack.serialize());
+  open_app_locally(routing, conn.peer_name(),
+                   [answer, ack](const Status& opened) mutable {
+                     ack.ok = opened.is_ok();
+                     if (!opened.is_ok()) ack.reason = opened.to_string();
+                     answer(ack);
+                   });
 }
 
 void ProxyServer::handle_mpi_start(const proto::Envelope& envelope) {
@@ -1018,24 +1050,14 @@ void ProxyServer::handle_job_query(const proto::Envelope& envelope,
                                    Connection& conn) {
   Result<proto::JobComplete> probe =
       proto::JobComplete::parse(envelope.payload);
-  if (!probe.is_ok()) {
-    (void)conn.respond(
-        envelope, proto::OpCode::kError,
-        proto::ErrorMessage{
-            static_cast<std::uint16_t>(ErrorCode::kProtocolError),
-            "bad job query"}
-            .serialize());
-    return;
-  }
+  if (!probe.is_ok())
+    return respond_error(conn, envelope,
+                         error(ErrorCode::kProtocolError, "bad job query"));
   Result<JobRecord> record = job_info(probe.value().job_id);
-  if (!record.is_ok()) {
-    (void)conn.respond(
-        envelope, proto::OpCode::kError,
-        proto::ErrorMessage{static_cast<std::uint16_t>(ErrorCode::kNotFound),
-                            record.status().message()}
-            .serialize());
-    return;
-  }
+  if (!record.is_ok())
+    return respond_error(
+        conn, envelope,
+        error(ErrorCode::kNotFound, record.status().message()));
   proto::JobComplete reply;
   reply.job_id = probe.value().job_id;
   reply.exit_code = static_cast<std::uint32_t>(record.value().state);
@@ -1138,12 +1160,6 @@ Result<JobRecord> ProxyServer::query_job_at(const std::string& site,
 
 // --------------------------------------------------------------- tunnels
 
-void ProxyServer::relay_async(std::function<void()> work) {
-  if (!workers_.submit(std::move(work))) {
-    PG_WARN << config_.site << ": relay dropped during shutdown";
-  }
-}
-
 void ProxyServer::handle_tunnel(const proto::Envelope& envelope,
                                 Connection& conn) {
   PG_DEBUG << config_.site << ": tunnel op " << proto::opcode_name(envelope.op)
@@ -1176,14 +1192,9 @@ void ProxyServer::handle_tunnel(const proto::Envelope& envelope,
   {
     std::lock_guard<std::mutex> lock(tunnels_mutex_);
     const auto it = tunnels_.find(tunnel_id);
-    if (it == tunnels_.end()) {
-      (void)conn.respond(
-          envelope, proto::OpCode::kError,
-          proto::ErrorMessage{static_cast<std::uint16_t>(ErrorCode::kNotFound),
-                              "unknown tunnel"}
-              .serialize());
-      return;
-    }
+    if (it == tunnels_.end())
+      return respond_error(conn, envelope,
+                           error(ErrorCode::kNotFound, "unknown tunnel"));
     route = it->second;
     if (envelope.op == proto::OpCode::kTunnelClose) {
       tunnels_.erase(it);
@@ -1194,45 +1205,34 @@ void ProxyServer::handle_tunnel(const proto::Envelope& envelope,
   instruments_.tunnels_relayed.increment();
 
   // Resolve the next hop: a node of this site, or the target site's proxy.
-  Connection* next =
-      links_.get(route.target_site == config_.site
+  const ConnectionPtr next =
+      links_.pin(route.target_site == config_.site
                      ? BatchLink{LinkKind::kNode, route.target_node}
                      : BatchLink{LinkKind::kSite, route.target_site});
-  if (next == nullptr) {
-    (void)conn.respond(
-        envelope, proto::OpCode::kError,
-        proto::ErrorMessage{static_cast<std::uint16_t>(ErrorCode::kNotFound),
-                            "no route to " + route.target_site}
-            .serialize());
-    return;
-  }
+  if (next == nullptr)
+    return respond_error(
+        conn, envelope,
+        error(ErrorCode::kNotFound, "no route to " + route.target_site));
 
   if (envelope.op == proto::OpCode::kTunnelClose) {
     (void)next->notify(envelope.op, envelope.payload);
     return;
   }
 
-  // Relay the call off the reader thread: crossing tunnels would otherwise
-  // deadlock two proxies' readers against each other.
-  const proto::Envelope request = envelope;
-  relay_async([this, next, request, &conn] {
-    PG_DEBUG << config_.site << ": relaying "
-             << proto::opcode_name(request.op) << " to " << next->peer_name();
-    Result<proto::Envelope> response = next->call(request.op, request.payload);
-    PG_DEBUG << config_.site << ": relay result "
-             << response.status().to_string();
-    if (!response.is_ok()) {
-      (void)conn.respond(
-          request, proto::OpCode::kError,
-          proto::ErrorMessage{
-              static_cast<std::uint16_t>(response.status().code()),
-              response.status().message()}
-              .serialize());
-      return;
-    }
-    (void)conn.respond(request, response.value().op,
-                       response.value().payload);
-  });
+  // The reply's continuation answers the source, pinned past a reconnect
+  // that may retire it, under the request's trace.
+  next->call_async(
+      envelope.op, envelope.payload, next->allocate_request_id(),
+      30 * kMicrosPerSecond,
+      [source = conn.shared_from_this(), request = envelope,
+       trace = telemetry::Tracer::current()](
+          Result<proto::Envelope> response) {
+        telemetry::ScopedTraceContext scope(trace);
+        if (!response.is_ok())
+          return respond_error(*source, request, response.status());
+        (void)source->respond(request, response.value().op,
+                              response.value().payload);
+      });
 }
 
 // ------------------------------------------------------------ span export
@@ -1328,59 +1328,101 @@ Status ProxyServer::dispatch_extension(const proto::Envelope& envelope,
   return handler(envelope, conn);
 }
 
-Result<proto::Envelope> ProxyServer::call_with_retry(const BatchLink& link,
-                                                     proto::OpCode op,
-                                                     BytesView payload,
-                                                     TimeMicros timeout) {
-  const std::string& target = link.name;
-  const RetryPolicy& policy = config_.retry;
-  const TimeMicros deadline = steady_micros() + timeout;
-  // Jitter salt: deterministic per (target, op) stream, no RNG plumbing.
-  const std::uint64_t salt = std::hash<std::string>{}(target) ^
-                             static_cast<std::uint64_t>(op);
+struct ProxyServer::RetryCall {
+  BatchLink link;
+  proto::OpCode op;
+  Bytes payload;
+  TimeMicros deadline;
+  std::uint64_t salt;  // backoff jitter
+  telemetry::TraceContext trace;
+  Connection::ReplyCallback done;
+  std::uint32_t attempt = 1;
   Status last;
-  Connection* id_conn = nullptr;
+  // Ids are per connection: attempts on the same connection reuse the id
+  // (the receiver dedups) while a reconnect's fresh connection gets a new
+  // one.
+  std::weak_ptr<Connection> id_conn;
   std::uint64_t request_id = 0;
-  for (std::uint32_t attempt = 1;; ++attempt) {
-    Connection* conn = links_.live(link);
-    if (conn == nullptr) {
-      last = error(ErrorCode::kUnavailable, "no connection to " + target);
-    } else {
-      const TimeMicros remaining = deadline - steady_micros();
-      if (remaining <= 0) break;
-      if (conn != id_conn) {
-        // First attempt, or a reconnect replaced the connection: ids are
-        // per-connection, so retries on the SAME connection reuse the id
-        // (receiver dedups) while a fresh connection gets a fresh one.
-        id_conn = conn;
-        request_id = conn->allocate_request_id();
-      }
-      Result<proto::Envelope> response = conn->call_with_id(
-          op, payload, request_id, std::min(policy.per_try_timeout, remaining));
-      if (response.is_ok()) return response;
-      last = response.status();
-      if (last.code() == ErrorCode::kDeadlineExceeded)
-        instruments_.deadline_exceeded.increment();
-      if (!is_transient(last)) return response;
-    }
-    if (attempt >= policy.max_attempts) break;
-    const TimeMicros remaining = deadline - steady_micros();
-    if (remaining <= 0) break;
-    instruments_.retries.increment();
-    const TimeMicros backoff = std::min(
-        retry_backoff(policy, attempt, salt + request_id), remaining);
-    if (backoff > 0)
-      std::this_thread::sleep_for(std::chrono::microseconds(backoff));
+};
+
+void ProxyServer::call_with_retry(const BatchLink& link, proto::OpCode op,
+                                  BytesView payload, TimeMicros timeout,
+                                  Connection::ReplyCallback done) {
+  auto call = std::make_shared<RetryCall>();
+  call->link = link;
+  call->op = op;
+  call->payload.assign(payload.begin(), payload.end());
+  call->deadline = steady_micros() + timeout;
+  // Jitter salt: deterministic per (target, op) stream, no RNG plumbing.
+  call->salt =
+      std::hash<std::string>{}(link.name) ^ static_cast<std::uint64_t>(op);
+  call->trace = telemetry::Tracer::current();
+  call->done = std::move(done);
+  {
+    std::lock_guard<std::mutex> lock(retry_mutex_);
+    ++retries_in_flight_;
   }
-  if (steady_micros() >= deadline) {
+  retry_attempt(call);
+}
+
+void ProxyServer::retry_attempt(const std::shared_ptr<RetryCall>& call) {
+  telemetry::ScopedTraceContext scope(call->trace);
+  const ConnectionPtr conn = links_.pin(call->link);
+  if (conn == nullptr || !conn->alive()) {
+    call->last =
+        error(ErrorCode::kUnavailable, "no connection to " + call->link.name);
+    return retry_failed(call);
+  }
+  const TimeMicros remaining = call->deadline - steady_micros();
+  if (remaining <= 0) return retry_failed(call);
+  if (call->id_conn.lock() != conn) {
+    call->id_conn = conn;
+    call->request_id = conn->allocate_request_id();
+  }
+  conn->call_async(
+      call->op, call->payload, call->request_id,
+      std::min(config_.retry.per_try_timeout, remaining),
+      [this, call](Result<proto::Envelope> response) {
+        if (response.is_ok()) return retry_done(call, std::move(response));
+        call->last = response.status();
+        if (call->last.code() == ErrorCode::kDeadlineExceeded)
+          instruments_.deadline_exceeded.increment();
+        if (!is_transient(call->last))
+          return retry_done(call, std::move(response));
+        retry_failed(call);
+      });
+}
+
+void ProxyServer::retry_failed(const std::shared_ptr<RetryCall>& call) {
+  const RetryPolicy& policy = config_.retry;
+  const TimeMicros remaining = call->deadline - steady_micros();
+  if (remaining <= 0) {
     instruments_.deadline_exceeded.increment();
-    return error(ErrorCode::kDeadlineExceeded,
-                 "retry budget for " + target + " exhausted: " +
-                     last.to_string());
+    return retry_done(call, error(ErrorCode::kDeadlineExceeded,
+                                  "retry budget for " + call->link.name +
+                                      " exhausted: " + call->last.to_string()));
   }
-  return last.is_ok()
-             ? error(ErrorCode::kUnavailable, "no connection to " + target)
-             : last;
+  if (call->attempt >= policy.max_attempts) return retry_done(call, call->last);
+  if (is_shut_down())
+    return retry_done(
+        call, error(ErrorCode::kUnavailable, config_.site + " shut down"));
+  instruments_.retries.increment();
+  const TimeMicros backoff = std::min(
+      retry_backoff(policy, call->attempt, call->salt + call->request_id),
+      remaining);
+  ++call->attempt;
+  // The timer may safely touch the proxy: shutdown() waits for this chain.
+  net::Reactor::global().schedule_timer(
+      backoff, [this, call] { retry_attempt(call); },
+      net::Reactor::TimerThread::kIo);
+}
+
+void ProxyServer::retry_done(const std::shared_ptr<RetryCall>& call,
+                             Result<proto::Envelope> result) {
+  call->done(std::move(result));
+  // Last touch of the proxy: shutdown() may return once the count is 0.
+  std::lock_guard<std::mutex> lock(retry_mutex_);
+  if (--retries_in_flight_ == 0) retry_idle_.notify_all();
 }
 
 Result<proto::Envelope> ProxyServer::call_peer(const std::string& site,
@@ -1388,7 +1430,11 @@ Result<proto::Envelope> ProxyServer::call_peer(const std::string& site,
                                                BytesView payload,
                                                TimeMicros timeout) {
   instruments_.control_calls_sent.increment();
-  return call_with_retry({LinkKind::kSite, site}, op, payload, timeout);
+  return await_result<Result<proto::Envelope>>(
+      [&](Connection::ReplyCallback done) {
+        call_with_retry({LinkKind::kSite, site}, op, payload, timeout,
+                        std::move(done));
+      });
 }
 
 Status ProxyServer::notify_peer(const std::string& site, proto::OpCode op,
@@ -1526,7 +1572,13 @@ void ProxyServer::shutdown() {
 
   links_.close_all();
   job_workers_.shutdown();
-  workers_.shutdown();
+  // Closing the links failed every attempt in flight and a retry chain
+  // gives up once the proxy is shut down, so each chain ends by its next
+  // backoff; one may still be finishing on a reactor thread.
+  {
+    std::unique_lock<std::mutex> lock(retry_mutex_);
+    retry_idle_.wait(lock, [this] { return retries_in_flight_ == 0; });
+  }
   runs_cv_.notify_all();
 }
 

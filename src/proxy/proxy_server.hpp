@@ -82,10 +82,8 @@ struct ProxyConfig {
   std::uint32_t job_max_attempts = 3;
   /// run_app deadline used for batch-job attempts.
   TimeMicros job_run_timeout = 120 * kMicrosPerSecond;
-  /// Threads executing batch jobs — the per-proxy job parallelism cap.
-  /// Jobs run on their own pool so a full complement of long-running jobs
-  /// can never starve control-plane relays (kMpiOpen from a sibling shard
-  /// queued behind a sleeping job would stall that peer's launch).
+  /// Threads executing batch jobs — the per-proxy job parallelism cap, and
+  /// the proxy's only pool: relays are continuations and hold no thread.
   std::uint32_t job_workers = 4;
 
   // ---- MPI data-plane batching (docs/PERFORMANCE.md, "MPI data plane") ----
@@ -314,7 +312,7 @@ class ProxyServer {
     std::uint32_t exit_code = 0;
   };
 
-  // -- handlers (reader threads)
+  // -- handlers (connection strands; none of them blocks)
   /// Entry point of every link: the data-plane ops every link carries
   /// alike, then the per-kind control dispatch below.
   void handle_link(const BatchLink& link, const proto::Envelope& envelope,
@@ -344,8 +342,11 @@ class ProxyServer {
   void handle_trace_export(const proto::Envelope& envelope);
 
   // -- internals
-  Status open_app_locally(const AppRouting& routing,
-                          const std::string& origin_site);
+  /// Sends kMpiOpen to every node of this site hosting ranks, together;
+  /// `done` runs with the first failure or after the last ack.
+  void open_app_locally(const AppRouting& routing,
+                        const std::string& origin_site,
+                        std::function<void(const Status&)> done);
   void start_app_locally(std::uint64_t app_id);
   void close_app_locally(std::uint64_t app_id);
   void site_finished(std::uint64_t app_id, const std::string& site,
@@ -362,7 +363,6 @@ class ProxyServer {
   Result<tls::MessageLinkPtr> secure_link(net::Channel& channel,
                                           const std::string& expected_peer,
                                           bool client);
-  void relay_async(std::function<void()> work);
 
   // -- MPI data plane
   /// The data link that reaches `dst_rank`: its node's link when the rank
@@ -375,13 +375,23 @@ class ProxyServer {
   void route_mpi_frame(proto::MpiFrame frame);
 
   // -- resilience
+  /// One logical request of call_with_retry, carried from attempt to
+  /// attempt.
+  struct RetryCall;
   /// Retrying request/response against the link's live connection
   /// (re-resolved each attempt so a reconnect is picked up). Per-attempt
   /// deadline from config_.retry, total budget `timeout`; the request id
-  /// is reused per connection so retries dedup at the receiver.
-  Result<proto::Envelope> call_with_retry(const BatchLink& link,
-                                          proto::OpCode op, BytesView payload,
-                                          TimeMicros timeout);
+  /// is reused per connection so retries dedup at the receiver. Attempts
+  /// chain through call_async and back off on a reactor timer, so no
+  /// thread waits; `done` runs once, on whichever thread ends the chain.
+  void call_with_retry(const BatchLink& link, proto::OpCode op,
+                       BytesView payload, TimeMicros timeout,
+                       Connection::ReplyCallback done);
+  void retry_attempt(const std::shared_ptr<RetryCall>& call);
+  /// After a transient failure: backs off and tries again, or gives up.
+  void retry_failed(const std::shared_ptr<RetryCall>& call);
+  void retry_done(const std::shared_ptr<RetryCall>& call,
+                  Result<proto::Envelope> result);
   /// PeerTable down callbacks, after its close accounting (also the
   /// heartbeat verdict path). Purge all state that referenced the peer or
   /// node so nothing waits on a corpse.
@@ -432,12 +442,8 @@ class ProxyServer {
   std::map<std::uint64_t, RunState> runs_;
   std::atomic<std::uint64_t> next_app_id_;
 
-  // Workers for blocking relays (tunnels, peer kMpiOpen); reader threads
-  // must never block on multi-hop calls.
-  ThreadPool workers_{4};
-  // Dedicated pool for batch-job execution (size config_.job_workers).
-  // Jobs occupy a thread for their whole run, so sharing workers_ would
-  // let a full job load head-of-line-block control relays.
+  // Pool for batch-job execution (size config_.job_workers). Jobs occupy a
+  // thread for their whole run.
   ThreadPool job_workers_;
   JobManager job_manager_;
 
@@ -463,6 +469,12 @@ class ProxyServer {
   mutable std::mutex trace_routes_mutex_;
   std::unordered_map<std::uint64_t, std::string> trace_routes_;
   std::deque<std::uint64_t> trace_routes_order_;
+
+  // Retry chains not finished yet. shutdown() waits for none, so no
+  // continuation or backoff timer outlives the proxy.
+  std::mutex retry_mutex_;
+  std::condition_variable retry_idle_;
+  std::size_t retries_in_flight_ = 0;
 
   std::atomic<bool> shut_down_{false};
 

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <sstream>
+#include <thread>
 
 #include "grid/cli.hpp"
 #include "grid/grid.hpp"
@@ -399,6 +402,144 @@ TEST(GridTunnel, UnknownServiceFails) {
       grid->node_agent("siteA", "node0")
           .call_service("siteB", "node0", "no-such-service", {});
   EXPECT_FALSE(response.is_ok());
+}
+
+/// Runs `call(i)` for i in [0, n) on n threads released together.
+template <typename Call>
+void run_together(std::size_t n, Call call) {
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool go = false;
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < n; ++i) {
+    threads.emplace_back([&, i] {
+      {
+        std::unique_lock<std::mutex> lock(mutex);
+        cv.wait(lock, [&] { return go; });
+      }
+      call(i);
+    });
+  }
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    go = true;
+  }
+  cv.notify_all();
+  for (auto& t : threads) t.join();
+}
+
+TEST(GridTunnel, ConcurrentCallsReachTheirOwnTargets) {
+  // Every node numbers its tunnels from its own salt, so calls from 8
+  // nodes at once never share a tunnel id at the proxies that relay them.
+  constexpr std::size_t kNodes = 8;
+  auto grid = make_grid(proxy::SecurityMode::kProxyTunneling, 2, kNodes);
+  ASSERT_NE(grid, nullptr);
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    const std::string name = "node" + std::to_string(i);
+    grid->node_agent("siteB", name).register_service(
+        "whoami", [name](BytesView) { return to_bytes(name); });
+  }
+  std::vector<Result<Bytes>> replies(kNodes, Result<Bytes>(Bytes{}));
+  run_together(kNodes, [&](std::size_t i) {
+    const std::string name = "node" + std::to_string(i);
+    replies[i] = grid->node_agent("siteA", name)
+                     .call_service("siteB", name, "whoami", {});
+  });
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    ASSERT_TRUE(replies[i].is_ok()) << i << ": "
+                                    << replies[i].status().to_string();
+    EXPECT_EQ(to_string(replies[i].value()), "node" + std::to_string(i));
+  }
+}
+
+TEST(GridTunnel, RelaysHoldNoThreadWhileWaiting) {
+  // 8 cross-site calls whose services each wait for all 8 to arrive: every
+  // relay must be in flight at once, which a fixed relay pool would cap.
+  constexpr int kCalls = 8;
+  auto grid = make_grid(proxy::SecurityMode::kProxyTunneling, 2, kCalls);
+  ASSERT_NE(grid, nullptr);
+  std::mutex mutex;
+  std::condition_variable cv;
+  int arrived = 0;
+  int inside = 0;
+  int peak = 0;
+  for (int i = 0; i < kCalls; ++i) {
+    grid->node_agent("siteB", "node" + std::to_string(i))
+        .register_service("rendezvous", [&](BytesView) {
+          std::unique_lock<std::mutex> lock(mutex);
+          ++arrived;
+          peak = std::max(peak, ++inside);
+          cv.notify_all();
+          cv.wait_for(lock, std::chrono::seconds(5),
+                      [&] { return arrived >= kCalls; });
+          --inside;
+          return Bytes{};
+        });
+  }
+  std::vector<Status> results(kCalls);
+  run_together(kCalls, [&](std::size_t i) {
+    const std::string name = "node" + std::to_string(i);
+    results[i] = grid->node_agent("siteA", name)
+                     .call_service("siteB", name, "rendezvous", {})
+                     .status();
+  });
+  for (const Status& status : results)
+    EXPECT_TRUE(status.is_ok()) << status.to_string();
+  EXPECT_EQ(peak, kCalls) << "relays in flight at once";
+}
+
+TEST(GridTunnel, RelaySurvivesReconnectOfItsSourceLink) {
+  // siteB relays a call to its node over the link from siteA; the link
+  // dies and is replaced before the node answers. The relay must answer on
+  // the retired connection it pinned, not on freed memory.
+  auto grid = make_grid(proxy::SecurityMode::kProxyTunneling, 2, 2);
+  ASSERT_NE(grid, nullptr);
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool entered = false;
+  bool released = false;
+  bool left = false;
+  grid->node_agent("siteB", "node1")
+      .register_service("gate", [&](BytesView request) {
+        std::unique_lock<std::mutex> lock(mutex);
+        entered = true;
+        cv.notify_all();
+        cv.wait_for(lock, std::chrono::seconds(5), [&] { return released; });
+        left = true;
+        cv.notify_all();
+        return Bytes(request.begin(), request.end());
+      });
+  auto& caller = grid->node_agent("siteA", "node0");
+
+  std::thread first([&] {
+    // Its siteA hop dies with the link, so it fails; it must not hang.
+    (void)caller.call_service("siteB", "node1", "gate", to_bytes("first"),
+                              10 * kMicrosPerSecond);
+  });
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
+                            [&] { return entered; }));
+  }
+  grid->kill_link("siteA", "siteB");
+  for (int i = 0; i < 1000 && (grid->proxy("siteA").peer_alive("siteB") ||
+                               grid->proxy("siteB").peer_alive("siteA"));
+       ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_TRUE(grid->reconnect_link("siteA", "siteB").is_ok());
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    released = true;
+    cv.notify_all();
+    ASSERT_TRUE(
+        cv.wait_for(lock, std::chrono::seconds(5), [&] { return left; }));
+  }
+  first.join();
+
+  Result<Bytes> again =
+      caller.call_service("siteB", "node1", "gate", to_bytes("again"));
+  ASSERT_TRUE(again.is_ok()) << again.status().to_string();
+  EXPECT_EQ(to_string(again.value()), "again");
 }
 
 TEST(GridFailure, DeadSiteOnlyCostsItself) {

@@ -536,6 +536,37 @@ TEST_F(JobTest, RemoteSubmissionRejectedWithoutPermission) {
   EXPECT_FALSE(job.is_ok());
 }
 
+TEST(JobIds, FirstJobIdsDifferAcrossSites) {
+  // Job ids carry a per-site salt, so one site's job id never names another
+  // site's job.
+  static const bool registered = [] {
+    mpi::AppRegistry::instance().register_app(
+        "job-ids-noop", [](mpi::Comm&) { return Status::ok(); });
+    return true;
+  }();
+  (void)registered;
+  grid::GridBuilder builder;
+  builder.seed(6).key_bits(512);
+  builder.add_nodes("siteA", 1).add_nodes("siteB", 1);
+  builder.add_user("alice", "pw", {"mpi.run", "status.query", "job.submit"});
+  auto built = builder.build();
+  ASSERT_TRUE(built.is_ok()) << built.status().to_string();
+  std::unique_ptr<grid::Grid> grid = built.take();
+  auto token = grid->login("siteA", "alice", "pw");
+  ASSERT_TRUE(token.is_ok());
+
+  std::vector<std::uint64_t> first_ids;
+  for (const std::string site : {"siteA", "siteB"}) {
+    Result<std::uint64_t> job = grid->proxy(site).submit_job(
+        "alice", token.value(), "job-ids-noop", 1, sched::Policy::kRoundRobin);
+    ASSERT_TRUE(job.is_ok()) << job.status().to_string();
+    ASSERT_TRUE(grid->proxy(site).wait_job(job.value()).is_ok());
+    first_ids.push_back(job.value());
+  }
+  EXPECT_NE(first_ids[0], first_ids[1]);
+  EXPECT_FALSE(grid->proxy("siteB").job_info(first_ids[0]).is_ok());
+}
+
 TEST_F(JobTest, RemoteQueryUnknownJobFails) {
   EXPECT_FALSE(
       grid_->proxy("siteA").query_job_at("siteB", 123456789).is_ok());
