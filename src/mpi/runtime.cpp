@@ -1,8 +1,7 @@
 #include "mpi/runtime.hpp"
 
-#include <thread>
-
 #include "common/logging.hpp"
+#include "common/thread_cache.hpp"
 
 namespace pg::mpi {
 
@@ -40,20 +39,27 @@ RunReport run_ranks(Fabric& fabric, const AppFn& app,
   RunReport report;
   report.rank_status.resize(local_ranks.size());
 
-  std::vector<std::thread> threads;
-  threads.reserve(local_ranks.size());
-  for (std::size_t i = 0; i < local_ranks.size(); ++i) {
+  const auto run_rank = [&fabric, &app, &report, &local_ranks,
+                         world_size](std::size_t i) {
     const std::uint32_t rank = local_ranks[i];
-    threads.emplace_back([&fabric, &app, &report, i, rank, world_size] {
-      Comm comm(fabric, rank, world_size);
-      report.rank_status[i] = app(comm);
-      if (!report.rank_status[i].is_ok()) {
-        PG_WARN << "rank " << rank << " failed: "
-                << report.rank_status[i].to_string();
-      }
-    });
+    Comm comm(fabric, rank, world_size);
+    report.rank_status[i] = app(comm);
+    if (!report.rank_status[i].is_ok()) {
+      PG_WARN << "rank " << rank << " failed: "
+              << report.rank_status[i].to_string();
+    }
+  };
+  // Every rank but the last runs on a cached thread; the last runs here,
+  // so a node hosting one rank runs it on its runner.
+  std::vector<ThreadCache::Handle> ranks;
+  if (!local_ranks.empty()) {
+    ranks.reserve(local_ranks.size() - 1);
+    for (std::size_t i = 0; i + 1 < local_ranks.size(); ++i) {
+      ranks.push_back(ThreadCache::run([&run_rank, i] { run_rank(i); }));
+    }
+    run_rank(local_ranks.size() - 1);
   }
-  for (auto& t : threads) t.join();
+  for (const ThreadCache::Handle& rank : ranks) rank.wait();
 
   for (const Status& s : report.rank_status) {
     if (!s.is_ok()) {

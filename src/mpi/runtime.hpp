@@ -1,6 +1,7 @@
-// MiniMPI runtime: launches an application function on every rank (one
-// thread per rank) over a fabric, and the application registry that models
-// "the binary is installed on every node".
+// MiniMPI runtime: launches an application function on every rank over a
+// fabric (the calling thread runs the last local rank, cached threads run
+// the others), and the application registry that models "the binary is
+// installed on every node".
 //
 // The registry is the seam that lets a remote proxy launch the same program
 // the origin site submitted: in a real deployment the executable exists on
@@ -44,8 +45,10 @@ struct RunReport {
   std::vector<Status> rank_status;     // per-rank outcome
 };
 
-/// Runs `app` with `world_size` ranks over `fabric`, spawning only the
-/// ranks in `local_ranks` (the proxy deployment spawns per-site subsets).
+/// Runs `app` with `world_size` ranks over `fabric`, running only the
+/// ranks in `local_ranks` (the proxy deployment runs per-site subsets).
+/// The last local rank runs on the calling thread and every other one on a
+/// ThreadCache thread; returns once every local rank has finished.
 RunReport run_ranks(Fabric& fabric, const AppFn& app,
                     const std::vector<std::uint32_t>& local_ranks,
                     std::uint32_t world_size);

@@ -42,6 +42,33 @@ const char* job_state_name(JobState state) {
   return "unknown";
 }
 
+JobManager::JobManager(ThreadPool& pool, const Clock& clock,
+                       std::uint64_t first_id, const std::string& site)
+    : pool_(pool),
+      clock_(clock),
+      next_id_(first_id),
+      retained_(telemetry::MetricRegistry::global().gauge(
+          "pg_jobs_retained",
+          "Job records a proxy keeps: every unfinished job plus the newest "
+          "finished ones",
+          {{"site", site}})) {}
+
+JobManager::~JobManager() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  retained_.add(-static_cast<std::int64_t>(jobs_.size()));
+}
+
+void JobManager::finish_locked(JobRecord& job, JobState state) {
+  job.state = state;
+  job.finished_at = clock_.now();
+  finished_.push_back(job.job_id);
+  if (finished_.size() > kMaxFinishedJobs) {
+    jobs_.erase(finished_.front());
+    finished_.pop_front();
+    retained_.add(-1);
+  }
+}
+
 std::uint64_t JobManager::submit(const std::string& user,
                                  const std::string& executable,
                                  std::uint32_t ranks, sched::Policy policy,
@@ -58,6 +85,7 @@ std::uint64_t JobManager::submit(const std::string& user,
     record.submitted_at = clock_.now();
     record.max_attempts = max_attempts == 0 ? 1 : max_attempts;
     jobs_[record.job_id] = record;
+    retained_.add(1);
   }
   const std::uint64_t job_id = record.job_id;
   jobs_counter("submitted").increment();
@@ -123,9 +151,8 @@ void JobManager::dispatch_attempt(std::uint64_t job_id, Runner runner) {
       if (retry) {
         job.state = JobState::kRetrying;
       } else {
-        job.state =
-            outcome.status.is_ok() ? JobState::kSucceeded : JobState::kFailed;
-        job.finished_at = clock_.now();
+        finish_locked(job, outcome.status.is_ok() ? JobState::kSucceeded
+                                                  : JobState::kFailed);
       }
     }
     changed_.notify_all();
@@ -144,9 +171,8 @@ void JobManager::dispatch_attempt(std::uint64_t job_id, Runner runner) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       JobRecord& job = jobs_[job_id];
-      job.state = JobState::kFailed;
       job.outcome = error(ErrorCode::kUnavailable, "proxy shutting down");
-      job.finished_at = clock_.now();
+      finish_locked(job, JobState::kFailed);
     }
     changed_.notify_all();
   }
@@ -177,18 +203,24 @@ Result<JobRecord> JobManager::wait_for(std::uint64_t job_id,
   // The deadline is absolute on the manager's clock; convert to a relative
   // wait once so a manual test clock behaves like the wall clock here.
   const TimeMicros remaining = deadline - clock_.now();
+  // A finished record can be dropped before this waiter wakes; that ends
+  // the wait too, with kNotFound.
   const bool terminal = changed_.wait_for(
       lock, std::chrono::microseconds(remaining > 0 ? remaining : 0),
       [this, job_id] {
         const auto job = jobs_.find(job_id);
-        return job != jobs_.end() &&
-               (job->second.state == JobState::kSucceeded ||
-                job->second.state == JobState::kFailed);
+        return job == jobs_.end() ||
+               job->second.state == JobState::kSucceeded ||
+               job->second.state == JobState::kFailed;
       });
   if (!terminal)
     return error(ErrorCode::kDeadlineExceeded,
                  "job " + std::to_string(job_id) + " still running");
-  return jobs_.at(job_id);
+  const auto job = jobs_.find(job_id);
+  if (job == jobs_.end())
+    return error(ErrorCode::kNotFound,
+                 "no job " + std::to_string(job_id));
+  return job->second;
 }
 
 std::vector<JobRecord> JobManager::list() const {

@@ -4,9 +4,11 @@
 // submit() returns immediately with a job id; a worker from the proxy's
 // thread pool executes the job (scheduling + MPI launch) and records the
 // outcome. Clients poll info() or block in wait() — the usual batch-queue
-// interface 2003-era grid users expected.
+// interface 2003-era grid users expected. Finished records are kept for a
+// bounded count, so a proxy that runs for months holds bounded state.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -19,6 +21,7 @@
 #include "common/thread_pool.hpp"
 #include "proto/messages.hpp"
 #include "sched/scheduler.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace pg::proxy {
 
@@ -64,10 +67,16 @@ class JobManager {
   };
   using Runner = std::function<RunOutcome(const JobRecord&)>;
 
+  /// Finished (succeeded or failed) records kept; past this the oldest
+  /// finished record is dropped. Pending, running and retrying jobs are
+  /// never dropped.
+  static constexpr std::size_t kMaxFinishedJobs = 4096;
+
   /// Ids count up from `first_id`; a proxy salts it per site so job ids
-  /// are distinct grid-wide.
-  JobManager(ThreadPool& pool, const Clock& clock, std::uint64_t first_id = 1)
-      : pool_(pool), clock_(clock), next_id_(first_id) {}
+  /// are distinct grid-wide. `site` labels the pg_jobs_retained gauge.
+  JobManager(ThreadPool& pool, const Clock& clock, std::uint64_t first_id = 1,
+             const std::string& site = "");
+  ~JobManager();
 
   /// Enqueues a job; returns its id immediately. A job whose attempt fails
   /// with a transient error (kUnavailable, kDeadlineExceeded) moves to
@@ -77,6 +86,7 @@ class JobManager {
                        std::uint32_t ranks, sched::Policy policy,
                        Runner runner, std::uint32_t max_attempts = 1);
 
+  /// kNotFound for an unknown id or a finished record already dropped.
   Result<JobRecord> info(std::uint64_t job_id) const;
 
   /// Blocks until the job reaches a terminal state or `timeout` passes.
@@ -87,7 +97,7 @@ class JobManager {
   /// forever on a job whose site vanished. wait() delegates here.
   Result<JobRecord> wait_for(std::uint64_t job_id, TimeMicros deadline) const;
 
-  /// All jobs, newest first.
+  /// All retained jobs, newest first.
   std::vector<JobRecord> list() const;
 
   std::size_t active_count() const;
@@ -97,12 +107,18 @@ class JobManager {
   /// job keeps failing transiently with budget left.
   void dispatch_attempt(std::uint64_t job_id, Runner runner);
 
+  /// Moves `job` to terminal `state` and drops the oldest finished record
+  /// past kMaxFinishedJobs. Caller holds mutex_.
+  void finish_locked(JobRecord& job, JobState state);
+
   ThreadPool& pool_;
   const Clock& clock_;
   mutable std::mutex mutex_;
   mutable std::condition_variable changed_;
   std::map<std::uint64_t, JobRecord> jobs_;
+  std::deque<std::uint64_t> finished_;  // finished job ids, oldest first
   std::uint64_t next_id_;
+  telemetry::Gauge& retained_;  // records in jobs_, every manager of a site
 };
 
 }  // namespace pg::proxy

@@ -2,6 +2,7 @@
 
 #include "common/logging.hpp"
 #include "common/serde.hpp"
+#include "common/thread_cache.hpp"
 #include "mpi/mailbox.hpp"
 #include "proxy/resilience.hpp"
 
@@ -16,7 +17,8 @@ struct NodeAgent::App {
   /// mailbox closed by teardown meanwhile rejects the message.
   std::map<std::uint32_t, std::shared_ptr<mpi::Mailbox>> mailboxes;
   std::unique_ptr<AppFabric> fabric;
-  std::thread runner;
+  /// Runs the node's ranks on a ThreadCache thread; set by kMpiStart.
+  ThreadCache::Handle runner;
   bool started = false;
 };
 
@@ -52,8 +54,8 @@ class NodeAgent::AppFabric final : public mpi::Fabric {
                      "rank not hosted on this node");
       mailbox = mb->second.get();
     }
-    // Mailbox outlives this call: apps are only erased after their runner
-    // thread (the only caller) has finished.
+    // Mailbox outlives this call: apps are only destroyed after their
+    // runner (the only caller) has finished.
     return mailbox->recv(src, tag);
   }
 
@@ -128,15 +130,15 @@ NodeAgent::~NodeAgent() { shutdown(); }
 void NodeAgent::shutdown() {
   // Cancel the retransmission timer first; it never re-arms afterwards.
   batch_sender_.shutdown();
-  // Wake any rank blocked in recv, then join runners.
-  std::map<std::uint64_t, std::unique_ptr<App>> apps;
+  // Wake any rank blocked in recv, then wait for the runners.
+  std::map<std::uint64_t, std::shared_ptr<App>> apps;
   {
     std::lock_guard<std::mutex> lock(apps_mutex_);
     apps.swap(apps_);
   }
   for (auto& [id, app] : apps) {
     for (auto& [rank, mailbox] : app->mailboxes) mailbox->close();
-    if (app->runner.joinable()) app->runner.join();
+    app->runner.wait();
   }
   if (connection_) connection_->close();
 }
@@ -197,7 +199,7 @@ void NodeAgent::handle_mpi_open(const proto::Envelope& envelope,
     return;
   }
 
-  auto app = std::make_unique<App>();
+  auto app = std::make_shared<App>();
   app->routing.app_id = open.value().app_id;
   app->routing.executable = open.value().executable;
   app->routing.world_size = open.value().world_size;
@@ -224,13 +226,18 @@ void NodeAgent::handle_mpi_start(const proto::Envelope& envelope) {
   if (!start.is_ok()) return;
   const std::uint64_t app_id = start.value().app_id;
 
-  std::lock_guard<std::mutex> lock(apps_mutex_);
-  const auto it = apps_.find(app_id);
-  if (it == apps_.end() || it->second->started) return;
-  App* app = it->second.get();
-  app->started = true;
+  std::shared_ptr<App> app;
+  {
+    std::lock_guard<std::mutex> lock(apps_mutex_);
+    const auto it = apps_.find(app_id);
+    if (it == apps_.end() || it->second->started) return;
+    app = it->second;
+    app->started = true;
+  }
 
-  app->runner = std::thread([this, app, app_id] {
+  // Hand the runner off with no lock held. The task owns a reference to
+  // the app, since shutdown() may take it from apps_ meanwhile.
+  ThreadCache::Handle runner = ThreadCache::run([this, app, app_id] {
     Result<mpi::AppFn> fn =
         mpi::AppRegistry::instance().lookup(app->routing.executable);
     std::uint32_t exit_code = 0;
@@ -254,6 +261,17 @@ void NodeAgent::handle_mpi_start(const proto::Envelope& envelope) {
     done.output = to_bytes(config_.node_name);  // which node finished
     (void)connection_->notify(proto::OpCode::kMpiDone, done.serialize());
   });
+  {
+    std::lock_guard<std::mutex> lock(apps_mutex_);
+    const auto it = apps_.find(app_id);
+    if (it != apps_.end() && it->second == app) {
+      app->runner = std::move(runner);
+      return;
+    }
+  }
+  // shutdown() took the app before the runner was recorded, so it could
+  // not wait for it; its connection close waits for this handler instead.
+  runner.wait();
 }
 
 void NodeAgent::handle_mpi_batch(const proto::Envelope& envelope) {
@@ -307,7 +325,7 @@ void NodeAgent::handle_mpi_close(const proto::Envelope& envelope) {
   Result<proto::MpiClose> close_msg = proto::MpiClose::parse(envelope.payload);
   if (!close_msg.is_ok()) return;
 
-  std::unique_ptr<App> app;
+  std::shared_ptr<App> app;
   {
     std::lock_guard<std::mutex> lock(apps_mutex_);
     const auto it = apps_.find(close_msg.value().app_id);
@@ -316,7 +334,7 @@ void NodeAgent::handle_mpi_close(const proto::Envelope& envelope) {
     apps_.erase(it);
   }
   for (auto& [rank, mailbox] : app->mailboxes) mailbox->close();
-  if (app->runner.joinable()) app->runner.join();
+  app->runner.wait();
   // Stop retrying the app's unacked frames — close means the app is done
   // or aborted everywhere, so nobody can still receive them. Cold path:
   // the labelled drop counter is resolved on demand.

@@ -19,7 +19,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -79,7 +78,7 @@ class NodeAgent {
   /// Liveness check against the proxy.
   Status ping(TimeMicros timeout = 5 * kMicrosPerSecond);
 
-  /// Joins all application runner threads and closes the proxy link.
+  /// Waits for every application runner and closes the proxy link.
   void shutdown();
 
  private:
@@ -125,7 +124,7 @@ class NodeAgent {
   ReliableBatchReceiver batch_receiver_;
 
   std::mutex apps_mutex_;
-  std::map<std::uint64_t, std::unique_ptr<App>> apps_;
+  std::map<std::uint64_t, std::shared_ptr<App>> apps_;
 
   std::mutex services_mutex_;
   std::map<std::string, ServiceHandler> services_;

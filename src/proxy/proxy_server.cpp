@@ -67,7 +67,8 @@ ProxyServer::ProxyServer(ProxyConfig config)
       rng_(config_.rng_seed),
       next_app_id_(site_salt(config_.site) + 1),
       job_workers_(std::max<std::uint32_t>(1, config_.job_workers)),
-      job_manager_(job_workers_, *config_.clock, site_salt(config_.site) + 1),
+      job_manager_(job_workers_, *config_.clock, site_salt(config_.site) + 1,
+                   config_.site),
       instruments_(config_.site),
       links_(
           config_.site, instruments_,

@@ -216,4 +216,9 @@ ScopedTraceContext::ScopedTraceContext(TraceContext ctx)
 
 ScopedTraceContext::~ScopedTraceContext() { g_current = previous_; }
 
+void reset_thread_trace_state() {
+  g_current = TraceContext{};
+  g_span_sink = nullptr;
+}
+
 }  // namespace pg::telemetry

@@ -180,4 +180,9 @@ class ScopedTraceContext {
   TraceContext previous_;
 };
 
+/// Clears the calling thread's current context and span sink. A reused
+/// thread (common/thread_cache) calls it between tasks, so a span or sink
+/// one task left behind never reaches the next.
+void reset_thread_trace_state();
+
 }  // namespace pg::telemetry

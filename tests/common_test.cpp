@@ -1,12 +1,24 @@
-// Unit and property tests for src/common: bytes, serde, status, rng.
+// Unit and property tests for src/common: bytes, serde, status, rng, and
+// the application thread cache.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <future>
 #include <limits>
+#include <memory>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "common/serde.hpp"
 #include "common/status.hpp"
+#include "common/thread_cache.hpp"
+#include "telemetry/metrics.hpp"
+#include "telemetry/trace.hpp"
 
 namespace pg {
 namespace {
@@ -234,6 +246,112 @@ TEST(Rng, NextBytesLength) {
                         std::size_t{8}, std::size_t{33}}) {
     EXPECT_EQ(rng.next_bytes(n).size(), n);
   }
+}
+
+// ---------------------------------------------------------- thread cache
+
+telemetry::Gauge& cached_threads(const char* state) {
+  return telemetry::MetricRegistry::global().gauge(
+      "pg_thread_cache_threads", "", {{"state", state}});
+}
+
+telemetry::Counter& threads_spawned() {
+  return telemetry::MetricRegistry::global().counter(
+      "pg_thread_cache_spawned_total");
+}
+
+TEST(ThreadCache, SequentialTasksReuseOneThread) {
+  std::thread::id first;
+  std::thread::id second;
+  ThreadCache::run([&first] { first = std::this_thread::get_id(); }).wait();
+  const std::uint64_t spawned = threads_spawned().value();
+  ThreadCache::run([&second] { second = std::this_thread::get_id(); }).wait();
+  EXPECT_EQ(first, second);
+  EXPECT_NE(first, std::this_thread::get_id());
+  EXPECT_EQ(threads_spawned().value(), spawned);
+}
+
+TEST(ThreadCache, IdleThreadExitsAfterLinger) {
+  ThreadCache::run([] {}).wait();
+  const auto parked = std::chrono::steady_clock::now();
+  EXPECT_GE(cached_threads("idle").value(), 1);
+  EXPECT_EQ(cached_threads("busy").value(), 0);
+  for (int i = 0; i < 500 && cached_threads("idle").value() > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(cached_threads("idle").value(), 0);
+  EXPECT_GE(std::chrono::steady_clock::now() - parked,
+            ThreadCache::kIdleLinger / 2);
+  // The next task needs a fresh thread.
+  const std::uint64_t spawned = threads_spawned().value();
+  ThreadCache::run([] {}).wait();
+  EXPECT_EQ(threads_spawned().value(), spawned + 1);
+}
+
+TEST(ThreadCache, WaitReturnsAfterCapturesAreDestroyed) {
+  std::atomic<bool> destroyed{false};
+  std::promise<void> go;
+  std::shared_future<void> started = go.get_future().share();
+  auto capture = std::shared_ptr<int>(new int(0), [&destroyed](int* p) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    delete p;
+    destroyed = true;
+  });
+  const ThreadCache::Handle handle =
+      ThreadCache::run([capture, started] { started.wait(); });
+  capture.reset();  // the task now holds the last reference
+  go.set_value();
+  handle.wait();
+  EXPECT_TRUE(destroyed);
+}
+
+TEST(ThreadCache, TasksThatWaitOnEachOtherAllFinish) {
+  // Every task blocks until all 16 have started: a cache that queued
+  // tasks behind a fixed set of threads would time them out.
+  constexpr int kTasks = 16;
+  std::mutex mutex;
+  std::condition_variable all_here;
+  int arrived = 0;
+  std::atomic<int> met{0};
+  std::vector<ThreadCache::Handle> handles;
+  for (int i = 0; i < kTasks; ++i) {
+    handles.push_back(ThreadCache::run([&] {
+      std::unique_lock<std::mutex> lock(mutex);
+      if (++arrived == kTasks) all_here.notify_all();
+      if (all_here.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return arrived == kTasks; }))
+        ++met;
+    }));
+  }
+  for (const ThreadCache::Handle& handle : handles) handle.wait();
+  EXPECT_EQ(met.load(), kTasks);
+}
+
+TEST(ThreadCache, ReusedThreadStartsWithEmptyTraceState) {
+  // The first task leaves a live span and span sink behind on its thread.
+  telemetry::Span leaked_span;
+  std::unique_ptr<telemetry::ScopedSpanSink> leaked_sink;
+  std::atomic<int> sunk{0};
+  std::thread::id first;
+  ThreadCache::run([&] {
+    first = std::this_thread::get_id();
+    leaked_sink = std::make_unique<telemetry::ScopedSpanSink>(
+        [&sunk](const telemetry::SpanRecord&) { ++sunk; });
+    leaked_span = telemetry::Tracer::global().start_span("leaked");
+  }).wait();
+
+  std::thread::id second;
+  telemetry::TraceContext seen;
+  ThreadCache::run([&] {
+    second = std::this_thread::get_id();
+    seen = telemetry::Tracer::current();
+    telemetry::Tracer::global().start_span("probe").end();
+  }).wait();
+  ASSERT_EQ(first, second);
+  EXPECT_FALSE(seen.valid());
+  EXPECT_EQ(sunk.load(), 0);
+  leaked_span.end();
+  leaked_sink.reset();
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "mpi/fabric.hpp"
 #include "mpi/mailbox.hpp"
 #include "mpi/runtime.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace pg::mpi {
 namespace {
@@ -510,6 +511,25 @@ TEST(AppRegistry, RegisterLookupUnregister) {
   registry.unregister_app("test-app");
   EXPECT_FALSE(registry.has_app("test-app"));
   EXPECT_EQ(registry.lookup("test-app").status().code(), ErrorCode::kNotFound);
+}
+
+TEST(Runtime, OneLocalRankRunsOnTheCallingThread) {
+  telemetry::Counter& spawned = telemetry::MetricRegistry::global().counter(
+      "pg_thread_cache_spawned_total");
+  const std::uint64_t before = spawned.value();
+  std::thread::id rank_thread;
+  LocalFabric fabric(2);
+  const RunReport report = run_ranks(
+      fabric,
+      [&rank_thread](Comm& comm) {
+        rank_thread = std::this_thread::get_id();
+        return comm.rank() == 1 ? Status::ok()
+                                : error(ErrorCode::kInternal, "wrong rank");
+      },
+      {1}, 2);
+  EXPECT_TRUE(report.status.is_ok()) << report.status.to_string();
+  EXPECT_EQ(rank_thread, std::this_thread::get_id());
+  EXPECT_EQ(spawned.value(), before);
 }
 
 }  // namespace

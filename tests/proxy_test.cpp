@@ -15,6 +15,7 @@
 #include "net/memory_channel.hpp"
 #include "proxy/app_routing.hpp"
 #include "proxy/connection.hpp"
+#include "proxy/job_manager.hpp"
 #include "proxy/peer_table.hpp"
 #include "proxy/reliable_batch.hpp"
 #include "tls/link.hpp"
@@ -802,6 +803,43 @@ TEST(AppRouting, IndexedLookupsMatchScans) {
             (std::vector<std::string>{"n0", "n1"}));
   EXPECT_EQ(routing.virtual_slave_count("siteA"), 3u);
   EXPECT_EQ(routing.virtual_slave_count("siteC"), 4u);
+}
+
+TEST(JobManager, FinishedRecordsStayBounded) {
+  constexpr std::size_t kJobs = 10000;
+  WallClock clock;
+  ThreadPool pool(2);
+  telemetry::Gauge& retained = telemetry::MetricRegistry::global().gauge(
+      "pg_jobs_retained", "", {{"site", "bounded"}});
+  std::uint64_t first = 0;
+  std::uint64_t last = 0;
+  {
+    JobManager jobs(pool, clock, 1, "bounded");
+    const JobManager::Runner zero_cost = [](const JobRecord&) {
+      return JobManager::RunOutcome{};
+    };
+    for (std::size_t i = 0; i < kJobs; ++i) {
+      last = jobs.submit("user", "noop", 1, sched::Policy::kLoadBalanced,
+                         zero_cost);
+      if (i == 0) first = last;
+      if ((i + 1) % 1000 == 0) {
+        pool.drain();
+        ASSERT_LE(jobs.list().size(), JobManager::kMaxFinishedJobs) << i;
+      }
+    }
+    pool.drain();
+
+    EXPECT_EQ(jobs.list().size(), JobManager::kMaxFinishedJobs);
+    EXPECT_EQ(retained.value(),
+              static_cast<std::int64_t>(JobManager::kMaxFinishedJobs));
+    EXPECT_EQ(jobs.info(first).status().code(), ErrorCode::kNotFound);
+    EXPECT_EQ(jobs.wait(first, kMicrosPerSecond).status().code(),
+              ErrorCode::kNotFound);
+    const Result<JobRecord> newest = jobs.wait(last, kMicrosPerSecond);
+    ASSERT_TRUE(newest.is_ok()) << newest.status().to_string();
+    EXPECT_EQ(newest.value().state, JobState::kSucceeded);
+  }
+  EXPECT_EQ(retained.value(), 0);
 }
 
 }  // namespace
