@@ -32,6 +32,12 @@ void ThreadCache::Handle::wait() const {
   done_->cv.wait(lock, [this] { return done_->done; });
 }
 
+bool ThreadCache::Handle::done() const {
+  if (!done_) return true;
+  std::lock_guard<std::mutex> lock(done_->mutex);
+  return done_->done;
+}
+
 /// One cached thread. Shared between the thread and, while it is parked,
 /// the idle stack, so run() can wake it after unlocking.
 struct ThreadCache::Worker {

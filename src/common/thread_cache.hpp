@@ -31,6 +31,8 @@ class ThreadCache {
 
     /// Returns once the task has run and its captures are destroyed.
     void wait() const;
+    /// True once wait() would return at once; does not wait for the task.
+    bool done() const;
 
    private:
     friend class ThreadCache;

@@ -31,6 +31,8 @@ TimeMicros steady_micros() {
 thread_local bool t_on_io_thread = false;
 /// The reactor whose timers this thread (its I/O thread 0) fires.
 thread_local const void* t_timer_owner = nullptr;
+/// The IoThread whose loop this thread runs.
+thread_local const void* t_io_loop = nullptr;
 
 std::size_t env_size(const char* name, std::size_t fallback) {
   const char* raw = std::getenv(name);
@@ -305,7 +307,9 @@ void Reactor::notify_readable(Id id) {
     std::lock_guard<std::mutex> lock(io.ready_mutex);
     io.ready.push_back(id);
   }
-  wake(io);
+  // The owning thread checks its ready list before it sleeps again (see
+  // io_loop), so a write it made itself needs no eventfd wakeup.
+  if (t_io_loop != &io) wake(io);
 }
 
 void Reactor::mark_want_write(const std::shared_ptr<Conn>& conn) {
@@ -522,10 +526,12 @@ void Reactor::io_loop(std::size_t index) {
   t_on_io_thread = true;
   if (index == 0) t_timer_owner = this;
   IoThread& io = *io_threads_[index];
+  t_io_loop = &io;
   std::vector<epoll_event> events(256);
   auto& registry = telemetry::MetricRegistry::global();
   auto& wakeup_counter = registry.counter(
-      "pg_reactor_io_wakeups_total", "Reactor event-loop iterations");
+      "pg_reactor_io_wakeups_total",
+      "Reactor event-loop wakeups (polls for self-queued work excluded)");
   auto& frames_counter = registry.counter(
       "pg_reactor_frames_total", "Complete frames decoded by the reactor");
   auto& bytes_counter = registry.counter(
@@ -533,13 +539,24 @@ void Reactor::io_loop(std::size_t index) {
   std::uint64_t last_frames = 0;
   std::uint64_t last_bytes = 0;
   while (!stop_.load(std::memory_order_acquire)) {
-    // Only thread 0 owns the timer wheel; everyone else sleeps until an
-    // fd or an eventfd wakeup arrives — zero periodic syscalls when idle.
-    const int timeout_ms = index == 0 ? next_timer_timeout_ms() : -1;
+    // Work this thread queued for itself (a frame an inline handler wrote
+    // to a channel this thread serves) runs next, after a zero-timeout poll
+    // that still gives fd events and timers their turn. Otherwise only
+    // thread 0 owns the timer wheel; everyone else sleeps until an fd or an
+    // eventfd wakeup arrives — zero periodic syscalls when idle.
+    bool self_queued = false;
+    {
+      std::lock_guard<std::mutex> lock(io.ready_mutex);
+      self_queued = !io.ready.empty();
+    }
+    const int timeout_ms =
+        self_queued ? 0 : index == 0 ? next_timer_timeout_ms() : -1;
     const int n = ::epoll_wait(io.epoll_fd, events.data(),
                                static_cast<int>(events.size()), timeout_ms);
-    wakeups_.fetch_add(1, std::memory_order_relaxed);
-    wakeup_counter.increment();
+    if (!self_queued || n > 0) {
+      wakeups_.fetch_add(1, std::memory_order_relaxed);
+      wakeup_counter.increment();
+    }
     if (n < 0) {
       if (errno == EINTR) continue;
       break;

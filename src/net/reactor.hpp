@@ -5,12 +5,20 @@
 // callback readiness shim for in-process ones), reads into pooled buffers,
 // runs the link's incremental frame decoder on whatever bytes arrived, and
 // hands complete messages to the registration's on_frame callback — which
-// must never block. Connection runs MPI data batches to completion right
-// there when its strand is idle, and acks always, and queues everything
-// else onto its strand, a FIFO drained by an on-demand thread. Writes that
-// cannot complete immediately queue inside the channel
-// and are drained here on EPOLLOUT; a write issued on an I/O thread never
-// waits for that queue to shrink (Reactor::on_io_thread).
+// must never block. Connection runs the ops its owner declared
+// non-blocking (MPI data batches, and the proxy's and node agent's control
+// ops) to completion right there when its strand is idle, and acks always,
+// and queues everything else onto its strand, a FIFO drained by an
+// on-demand thread. Writes that cannot complete immediately queue inside
+// the channel and are drained here on EPOLLOUT; a write issued on an I/O
+// thread never waits for that queue to shrink (Reactor::on_io_thread).
+//
+// Self-wake rule: a readiness notification raised on the very I/O thread
+// that serves the channel (an inline handler writing to an in-process
+// channel of the same loop) only queues the channel on that thread's ready
+// list; it writes no eventfd. The loop polls with a zero timeout while its
+// ready list is non-empty, so fd events and timers still get a turn on
+// every iteration, and a chain of inline hops costs no wakeups.
 //
 // This replaces the thread-per-connection reader model: one proxy holds
 // 10k+ concurrent connections on io_threads + workers threads total
@@ -63,7 +71,9 @@ class Reactor {
     std::uint64_t frames = 0;
     std::uint64_t bytes_read = 0;
     std::uint64_t timers_fired = 0;
-    std::uint64_t wakeups = 0;  // io-loop iterations
+    /// Event-loop wakeups: epoll_wait returns, not counting a zero-timeout
+    /// poll for work the thread queued itself that finds no event.
+    std::uint64_t wakeups = 0;
   };
 
   explicit Reactor(ReactorOptions options = {});

@@ -5,6 +5,7 @@
 #include "common/logging.hpp"
 #include "net/reactor.hpp"
 #include "proto/messages.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace pg::proxy {
 
@@ -24,6 +25,30 @@ constexpr std::size_t kInboxLowBytes = 1024 * 1024;
 /// thread exits. Hot connections keep one drainer alive across bursts;
 /// idle connections hold no thread at all.
 constexpr std::chrono::milliseconds kDrainLinger{100};
+
+/// Where handler dispatches ran, and how many drainer threads are alive.
+/// Resolved once per process; every connection shares them.
+struct StrandInstruments {
+  telemetry::Counter& inline_dispatches;
+  telemetry::Counter& strand_dispatches;
+  telemetry::Gauge& drainers;
+};
+
+const StrandInstruments& strand_instruments() {
+  static const StrandInstruments instruments = [] {
+    auto& registry = telemetry::MetricRegistry::global();
+    const std::string help =
+        "Envelopes dispatched to a connection handler, by where it ran";
+    return StrandInstruments{
+        registry.counter("pg_connection_dispatch_total", help,
+                         {{"path", "inline"}}),
+        registry.counter("pg_connection_dispatch_total", help,
+                         {{"path", "strand"}}),
+        registry.gauge("pg_strand_drainers",
+                       "Strand drainer threads currently alive")};
+  }();
+  return instruments;
+}
 }  // namespace
 
 TimeMicros steady_micros() {
@@ -78,6 +103,7 @@ Connection::Connection(std::string peer_name, net::ChannelPtr channel,
       last_activity_(steady_micros()),
       next_id_(initiator ? 1 : 2) {
   strand_->conn = this;
+  non_blocking_.set(static_cast<std::size_t>(proto::OpCode::kMpiBatch));
   // send_parts waits for queue space before taking send_mutex_, never
   // inside it (see there).
   channel_->pace_writes_externally();
@@ -104,6 +130,19 @@ void Connection::start() {
     return;
   }
   reactor_id_.store(id.value(), std::memory_order_release);
+}
+
+void Connection::set_non_blocking_ops(std::span<const proto::OpCode> ops) {
+  non_blocking_.reset();
+  for (const proto::OpCode op : ops) {
+    const auto code = static_cast<std::size_t>(op);
+    if (code < kInlineOpLimit) non_blocking_.set(code);
+  }
+}
+
+bool Connection::non_blocking(proto::OpCode op) const {
+  const auto code = static_cast<std::size_t>(op);
+  return code < kInlineOpLimit && non_blocking_.test(code);
 }
 
 void Connection::set_on_close(std::function<void(const Status&)> on_close) {
@@ -264,15 +303,15 @@ void Connection::on_frame(BytesView frame) {
     // (id parity keeps the two directions' ids disjoint). Fall through.
   }
 
-  // Data batches run to completion right here when the strand is idle: no
-  // thread handoff per hop. Otherwise they queue behind whatever the strand
-  // holds, so per-connection order holds (a batch never overtakes a queued
-  // kMpiStart). Standalone acks always run here: they only release window
-  // entries, which commutes with everything else on the connection, and an
-  // ack stuck behind a busy strand makes its sender resend. Neither
-  // handler blocks.
-  const bool batch = env.op == proto::OpCode::kMpiBatch;
+  // Declared non-blocking ops run to completion right here when the strand
+  // is idle: no thread handoff per hop. Otherwise they queue behind
+  // whatever the strand holds, so per-connection order holds (a batch never
+  // overtakes a queued kMpiStart). Standalone acks always run here: they
+  // only release window entries, which commutes with everything else on
+  // the connection, and an ack stuck behind a busy strand makes its sender
+  // resend.
   const bool ack = env.op == proto::OpCode::kMpiBatchAck;
+  const bool declared = non_blocking(env.op);
   bool run_inline = false;
   bool spawn = false;
   bool pause = false;
@@ -280,7 +319,7 @@ void Connection::on_frame(BytesView frame) {
     std::lock_guard<std::mutex> lock(strand_->mutex);
     if (strand_->closed) return;
     run_inline =
-        ack || (batch && strand_->inbox.empty() && !strand_->busy);
+        ack || (declared && strand_->inbox.empty() && !strand_->busy);
     if (!run_inline) {
       strand_->inbox_bytes += env.payload.size();
       strand_->inbox.push_back(std::move(env));
@@ -297,13 +336,16 @@ void Connection::on_frame(BytesView frame) {
       }
     }
   }
+  const StrandInstruments& instruments = strand_instruments();
   if (run_inline) {
+    instruments.inline_dispatches.increment();
     // An idle strand stays idle meanwhile, since only this I/O thread feeds
     // its inbox; close() waits out this call through the reactor's remove
     // barrier.
     process_envelope(env);
     return;
   }
+  instruments.strand_dispatches.increment();
   if (pause) {
     const std::uint64_t rid = reactor_id_.load(std::memory_order_acquire);
     if (rid != 0) net::Reactor::global().pause_reads(rid);
@@ -340,6 +382,7 @@ void Connection::on_stream_closed(const Status& reason) {
 // ------------------------------------------------------------------ strand
 
 void Connection::spawn_drainer() {
+  strand_instruments().drainers.add(1);
   std::thread(&Connection::drain_loop, strand_).detach();
 }
 
@@ -388,6 +431,9 @@ void Connection::drain_loop(std::shared_ptr<Strand> strand) {
         });
     if (!woke) break;
   }
+  // Counted out before draining clears, so the gauge is current once
+  // close() returns.
+  strand_instruments().drainers.add(-1);
   strand->active = std::thread::id{};
   strand->draining = false;
   lock.unlock();

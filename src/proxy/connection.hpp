@@ -9,20 +9,22 @@
 // Receive path: the reactor's I/O thread decodes complete envelopes and
 // calls on_frame. A response runs its call's continuation right there
 // (call_async; a reactor timer fails it at the deadline), so a relay holds
-// no thread while it waits, and the blocking call() is a latch over it. MPI
-// data batches (kMpiBatch) run to completion on the I/O thread too when
-// the strand is idle (empty inbox, no handler running): one data hop costs
-// no thread handoff. Standalone acks (kMpiBatchAck) always run there, since
-// applying an ack commutes with everything else on the connection.
-// Everything else, and batches that arrive while the strand has work, lands
-// in the connection's strand — a FIFO inbox drained by one on-demand thread
-// that runs the handler serially (preserving receive order) and lingers
-// briefly for more work before exiting.
-// Strand handlers may still block (node-agent services, extension ops):
-// that stalls only this connection's strand, never the I/O threads. The
-// proxy's own handlers no longer do. Idle connections hold no thread at
-// all, which is what lets one proxy carry 10k+ mostly-idle connections
-// (bench_connections).
+// no thread while it waits, and the blocking call() is a latch over it.
+// The owner declares which ops its handler never blocks on
+// (set_non_blocking_ops; kMpiBatch by default). Such an op runs to
+// completion on the I/O thread when the strand is idle (empty inbox, no
+// handler running): a hop costs no thread handoff. Standalone acks
+// (kMpiBatchAck) always run there, since applying an ack commutes with
+// everything else on the connection. Every other op, and a declared op
+// that arrives while the strand has work, lands in the connection's strand
+// — a FIFO inbox drained by one on-demand thread that runs the handler
+// serially (preserving receive order) and lingers briefly for more work
+// before exiting. So per-connection order holds on both paths.
+// Strand handlers may block or run long (job submission, node-agent
+// services, extension ops, auth's RSA signing): that stalls only this
+// connection's strand, never the I/O threads. Idle connections hold no
+// thread at all, which is what lets one proxy carry 10k+ mostly-idle
+// connections (bench_connections).
 //
 // Backpressure: when a strand's inbox passes a high-water mark the
 // connection pauses reactor reads — bytes then accumulate in the kernel
@@ -32,9 +34,14 @@
 // channel's bounded send queue before it takes the send lock, never while
 // holding it, and a reactor I/O thread never waits at all (it is the
 // thread that drains the queue).
+//
+// Exported metrics: pg_connection_dispatch_total{path="inline"|"strand"}
+// (handler dispatches by where they ran) and pg_strand_drainers (live
+// drainer threads).
 #pragma once
 
 #include <atomic>
+#include <bitset>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -43,6 +50,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -74,12 +82,12 @@ class Connection : public std::enable_shared_from_this<Connection> {
  public:
   /// Invoked for every envelope that is not a response to a pending call:
   /// on the connection's strand, serially and in receive order, or inline
-  /// on the reactor I/O thread for a kMpiBatch that finds the strand idle
-  /// and for every kMpiBatchAck (which may thus overlap a strand handler).
-  /// May block for any other op; must never block for those two (nor
-  /// hold a lock across close(), a blocking call() or a remove barrier
-  /// that their handling needs). Must be thread-safe against other
-  /// connections' handlers.
+  /// on the reactor I/O thread for a declared non-blocking op that finds
+  /// the strand idle and for every kMpiBatchAck (which may thus overlap a
+  /// strand handler). May block for any other op. For the inline ones it
+  /// must never block: no blocking call(), no close() or reactor remove
+  /// barrier, no wait for another thread, and no lock held across any of
+  /// these. Must be thread-safe against other connections' handlers.
   using EnvelopeHandler =
       std::function<void(const proto::Envelope&, Connection&)>;
 
@@ -103,6 +111,11 @@ class Connection : public std::enable_shared_from_this<Connection> {
 
   /// Registers with the global reactor. Call once, after construction.
   void start();
+
+  /// Declares the ops the handler never blocks on (see EnvelopeHandler),
+  /// replacing the default {kMpiBatch}. Built-in ops only: codes from
+  /// kExtensionBase up always run on the strand. Set before start().
+  void set_non_blocking_ops(std::span<const proto::OpCode> ops);
 
   /// Registers a callback fired exactly once when the connection dies
   /// (remote failure or local close()), with the close reason. On remote
@@ -179,6 +192,10 @@ class Connection : public std::enable_shared_from_this<Connection> {
   void on_frame(BytesView frame);
   void on_stream_closed(const Status& reason);
 
+  /// Op codes from here up never run inline (kExtensionBase is above it).
+  static constexpr std::size_t kInlineOpLimit = 128;
+  bool non_blocking(proto::OpCode op) const;
+
   /// Runs the strand: pops inbox envelopes and dispatches the handler,
   /// lingering briefly when idle before the thread exits.
   static void drain_loop(std::shared_ptr<Strand> strand);
@@ -209,6 +226,7 @@ class Connection : public std::enable_shared_from_this<Connection> {
   net::ChannelPtr channel_;  // owned; link_ references it
   tls::MessageLinkPtr link_;
   EnvelopeHandler handler_;
+  std::bitset<kInlineOpLimit> non_blocking_;  // written before start()
   std::shared_ptr<Strand> strand_;
   std::atomic<std::uint64_t> reactor_id_{0};  // 0 = not registered
   std::atomic<bool> alive_{true};

@@ -2,11 +2,22 @@
 
 #include "common/logging.hpp"
 #include "common/serde.hpp"
-#include "common/thread_cache.hpp"
 #include "mpi/mailbox.hpp"
 #include "proxy/resilience.hpp"
 
 namespace pg::proxy {
+
+namespace {
+/// Ops whose handlers never block: they run on the reactor I/O thread when
+/// the link's strand is idle. kTunnelData stays on the strand, since it
+/// runs a user service.
+constexpr proto::OpCode kInlineOps[] = {
+    proto::OpCode::kMpiOpen,    proto::OpCode::kMpiStart,
+    proto::OpCode::kMpiClose,   proto::OpCode::kMpiBatch,
+    proto::OpCode::kPing,       proto::OpCode::kTunnelOpen,
+    proto::OpCode::kTunnelClose,
+};
+}  // namespace
 
 // ---------------------------------------------------------------- App
 
@@ -121,6 +132,7 @@ Result<std::unique_ptr<NodeAgent>> NodeAgent::create(NodeAgentConfig config,
   // proxy, which forwards them toward the trace origin (kTraceExport).
   agent->connection_->set_span_export(
       true, agent->config_.site + "/" + agent->config_.node_name);
+  agent->connection_->set_non_blocking_ops(kInlineOps);
   agent->connection_->start();
   return agent;
 }
@@ -141,6 +153,30 @@ void NodeAgent::shutdown() {
     app->runner.wait();
   }
   if (connection_) connection_->close();
+  // No handler runs any more, so no further cleanup gets deferred.
+  std::vector<ThreadCache::Handle> cleanups;
+  {
+    std::lock_guard<std::mutex> lock(cleanups_mutex_);
+    cleanups.swap(cleanups_);
+  }
+  for (const ThreadCache::Handle& cleanup : cleanups) cleanup.wait();
+}
+
+void NodeAgent::after_runner(const ThreadCache::Handle& runner,
+                             std::function<void()> cleanup) {
+  if (runner.done()) {
+    if (cleanup) cleanup();
+    return;
+  }
+  ThreadCache::Handle deferred =
+      ThreadCache::run([runner, cleanup = std::move(cleanup)] {
+        runner.wait();
+        if (cleanup) cleanup();
+      });
+  std::lock_guard<std::mutex> lock(cleanups_mutex_);
+  std::erase_if(cleanups_,
+                [](const ThreadCache::Handle& done) { return done.done(); });
+  cleanups_.push_back(std::move(deferred));
 }
 
 // ------------------------------------------------------------ dispatch
@@ -270,8 +306,8 @@ void NodeAgent::handle_mpi_start(const proto::Envelope& envelope) {
     }
   }
   // shutdown() took the app before the runner was recorded, so it could
-  // not wait for it; its connection close waits for this handler instead.
-  runner.wait();
+  // not wait for it; it waits for the deferred wait instead.
+  after_runner(runner, nullptr);
 }
 
 void NodeAgent::handle_mpi_batch(const proto::Envelope& envelope) {
@@ -334,11 +370,16 @@ void NodeAgent::handle_mpi_close(const proto::Envelope& envelope) {
     apps_.erase(it);
   }
   for (auto& [rank, mailbox] : app->mailboxes) mailbox->close();
-  app->runner.wait();
   // Stop retrying the app's unacked frames — close means the app is done
-  // or aborted everywhere, so nobody can still receive them. Cold path:
-  // the labelled drop counter is resolved on demand.
-  const std::size_t dropped = batch_sender_.drop_app(close_msg.value().app_id);
+  // or aborted everywhere, so nobody can still receive them — once its
+  // runner can send no more.
+  const std::uint64_t app_id = close_msg.value().app_id;
+  after_runner(app->runner, [this, app_id] { drop_app_frames(app_id); });
+}
+
+void NodeAgent::drop_app_frames(std::uint64_t app_id) {
+  // Cold path: the labelled drop counter is resolved on demand.
+  const std::size_t dropped = batch_sender_.drop_app(app_id);
   if (dropped > 0) {
     telemetry::MetricRegistry::global()
         .counter("pg_mpi_frames_dropped_total",

@@ -24,6 +24,7 @@
 #include "common/clock.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
+#include "common/thread_cache.hpp"
 #include "mpi/fabric.hpp"
 #include "mpi/runtime.hpp"
 #include "net/channel.hpp"
@@ -78,7 +79,8 @@ class NodeAgent {
   /// Liveness check against the proxy.
   Status ping(TimeMicros timeout = 5 * kMicrosPerSecond);
 
-  /// Waits for every application runner and closes the proxy link.
+  /// Waits for every application runner, closes the proxy link and waits
+  /// for the app cleanups that were waiting on runners.
   void shutdown();
 
  private:
@@ -98,6 +100,14 @@ class NodeAgent {
   void handle_tunnel_open(const proto::Envelope& envelope, Connection& conn);
   void handle_tunnel_data(const proto::Envelope& envelope, Connection& conn);
   void handle_tunnel_close(const proto::Envelope& envelope);
+
+  /// Runs `cleanup` (may be empty) once `runner` has finished: right away
+  /// when it already has, else on a cached thread, so a handler on the I/O
+  /// thread never waits for a runner. shutdown() waits for deferred ones.
+  void after_runner(const ThreadCache::Handle& runner,
+                    std::function<void()> cleanup);
+  /// Stops retrying the app's unacked frames.
+  void drop_app_frames(std::uint64_t app_id);
 
   Status fabric_send(std::uint64_t app_id, const mpi::MpiMessage& message);
   Status fabric_multicast(std::uint64_t app_id, const mpi::MpiMessage& message,
@@ -125,6 +135,9 @@ class NodeAgent {
 
   std::mutex apps_mutex_;
   std::map<std::uint64_t, std::shared_ptr<App>> apps_;
+
+  std::mutex cleanups_mutex_;
+  std::vector<ThreadCache::Handle> cleanups_;  // deferred by after_runner
 
   std::mutex services_mutex_;
   std::map<std::string, ServiceHandler> services_;

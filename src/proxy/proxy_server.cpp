@@ -55,6 +55,22 @@ SenderWindowConfig window_config(const ProxyConfig& config) {
   window.rto_max_micros = static_cast<std::uint64_t>(config.mpi_ack_rto_max);
   return window;
 }
+
+/// Ops whose handlers never block, on site and node links alike: they run
+/// on the reactor I/O thread when the connection's strand is idle
+/// (docs/PERFORMANCE.md, "Inline control path"). Left on the strand:
+/// kAuthRequest (an RSA sign would stall every connection sharing the I/O
+/// thread), kJobSubmit and kJobQuery, and extension ops, which may block.
+constexpr proto::OpCode kInlineOps[] = {
+    proto::OpCode::kHello,        proto::OpCode::kPing,
+    proto::OpCode::kHeartbeat,    proto::OpCode::kStatusQuery,
+    proto::OpCode::kStatusReport, proto::OpCode::kShardStatus,
+    proto::OpCode::kMpiOpen,      proto::OpCode::kMpiStart,
+    proto::OpCode::kMpiDone,      proto::OpCode::kMpiAbort,
+    proto::OpCode::kMpiClose,     proto::OpCode::kMpiBatch,
+    proto::OpCode::kTunnelOpen,   proto::OpCode::kTunnelData,
+    proto::OpCode::kTunnelClose,  proto::OpCode::kTraceExport,
+};
 }  // namespace
 
 ProxyServer::ProxyServer(ProxyConfig config)
@@ -152,13 +168,14 @@ Status ProxyServer::attach_node(const std::string& node_name,
           : Result<tls::MessageLinkPtr>(tls::make_plain_link(*channel));
   if (!link.is_ok()) return link.status();
   const BatchLink key{LinkKind::kNode, node_name};
-  return links_.add(
-      key, std::make_unique<Connection>(
-               node_name, std::move(channel), link.take(),
-               /*initiator=*/false,
-               [this, key](const proto::Envelope& env, Connection& c) {
-                 handle_link(key, env, c);
-               }));
+  auto conn = std::make_unique<Connection>(
+      node_name, std::move(channel), link.take(),
+      /*initiator=*/false,
+      [this, key](const proto::Envelope& env, Connection& c) {
+        handle_link(key, env, c);
+      });
+  conn->set_non_blocking_ops(kInlineOps);
+  return links_.add(key, std::move(conn));
 }
 
 Status ProxyServer::connect_peer(const std::string& peer_site,
@@ -173,6 +190,7 @@ Status ProxyServer::connect_peer(const std::string& peer_site,
       [this, key](const proto::Envelope& env, Connection& c) {
         handle_link(key, env, c);
       });
+  conn->set_non_blocking_ops(kInlineOps);
   // Handler spans finished for traces the peer's side originated flow back
   // over this link, so the origin proxy renders the whole grid operation
   // as one connected trace.

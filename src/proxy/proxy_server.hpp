@@ -312,7 +312,8 @@ class ProxyServer {
     std::uint32_t exit_code = 0;
   };
 
-  // -- handlers (connection strands; none of them blocks)
+  // -- handlers (none of them blocks; all but auth, job and extension ops
+  // run inline on the reactor I/O thread, the rest on connection strands)
   /// Entry point of every link: the data-plane ops every link carries
   /// alike, then the per-kind control dispatch below.
   void handle_link(const BatchLink& link, const proto::Envelope& envelope,

@@ -354,5 +354,17 @@ TEST(ThreadCache, ReusedThreadStartsWithEmptyTraceState) {
   leaked_sink.reset();
 }
 
+TEST(ThreadCache, DoneTurnsTrueOnceTheTaskFinished) {
+  EXPECT_TRUE(ThreadCache::Handle().done());
+  std::promise<void> go;
+  std::shared_future<void> release = go.get_future().share();
+  const ThreadCache::Handle handle =
+      ThreadCache::run([release] { release.wait(); });
+  EXPECT_FALSE(handle.done());
+  go.set_value();
+  handle.wait();
+  EXPECT_TRUE(handle.done());
+}
+
 }  // namespace
 }  // namespace pg

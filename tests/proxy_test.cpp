@@ -1,21 +1,29 @@
 // Unit tests for the proxy building blocks: Connection (request/response
 // correlation), the reliable kMpiBatch stream (ReliableBatchSender and
 // ReliableBatchReceiver over a live connection), PeerTable (the link table:
-// insert rules, close accounting, heartbeat liveness) and AppRouting
-// (virtual-slave tables).
+// insert rules, close accounting, heartbeat liveness), AppRouting
+// (virtual-slave tables) and the inline control path (node-agent app
+// teardown, a launch's dispatch paths).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <functional>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
+#include "grid/grid.hpp"
+#include "mpi/runtime.hpp"
 #include "net/memory_channel.hpp"
+#include "proto/messages.hpp"
 #include "proxy/app_routing.hpp"
 #include "proxy/connection.hpp"
 #include "proxy/job_manager.hpp"
+#include "proxy/node_agent.hpp"
 #include "proxy/peer_table.hpp"
 #include "proxy/reliable_batch.hpp"
 #include "tls/link.hpp"
@@ -840,6 +848,220 @@ TEST(JobManager, FinishedRecordsStayBounded) {
     EXPECT_EQ(newest.value().state, JobState::kSucceeded);
   }
   EXPECT_EQ(retained.value(), 0);
+}
+
+// ------------------------------------------------------ inline control path
+
+/// Gate the "proxy_test.held" app waits on after its rank 0 sent one frame
+/// to rank 1 on another node.
+struct HeldAppGate {
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool released = false;
+
+  /// Waits up to `limit` for release(), then releases anyway.
+  void release_after(std::chrono::milliseconds limit) {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait_for(lock, limit, [this] { return released; });
+    released = true;
+    cv.notify_all();
+  }
+  void reset() {
+    std::lock_guard<std::mutex> lock(mutex);
+    released = false;
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mutex);
+    released = true;
+    cv.notify_all();
+  }
+};
+
+HeldAppGate& held_gate() {
+  static HeldAppGate gate;
+  return gate;
+}
+
+void register_test_apps() {
+  static const bool registered = [] {
+    mpi::AppRegistry::instance().register_app(
+        "proxy_test.held", [](mpi::Comm& comm) -> Status {
+          if (comm.rank() != 0) return Status::ok();
+          PG_RETURN_IF_ERROR(comm.send(1, 7, to_bytes("unacked")));
+          HeldAppGate& gate = held_gate();
+          std::unique_lock<std::mutex> lock(gate.mutex);
+          gate.cv.wait(lock, [&gate] { return gate.released; });
+          return Status::ok();
+        });
+    mpi::AppRegistry::instance().register_app(
+        "proxy_test.noop", [](mpi::Comm&) -> Status { return Status::ok(); });
+    return true;
+  }();
+  (void)registered;
+}
+
+/// A NodeAgent on node "n0" of `site`, whose proxy end is a bare
+/// Connection that records the data batches it gets and never acks them.
+struct AgentHarness {
+  std::unique_ptr<NodeAgent> agent;
+  ConnectionPtr proxy;
+  std::mutex mutex;
+  std::condition_variable cv;
+  int batches = 0;
+  std::string site;
+
+  explicit AgentHarness(std::string site_name) : site(std::move(site_name)) {
+    register_test_apps();
+    held_gate().reset();
+    net::ChannelPair channels = net::make_memory_channel_pair();
+    auto proxy_channel = std::move(channels.b);
+    auto link = tls::make_plain_link(*proxy_channel);
+    proxy = std::make_shared<Connection>(
+        "n0", std::move(proxy_channel), std::move(link), false,
+        [this](const proto::Envelope& env, Connection&) {
+          if (env.op != proto::OpCode::kMpiBatch) return;
+          std::lock_guard<std::mutex> lock(mutex);
+          ++batches;
+          cv.notify_all();
+        });
+    proxy->start();
+    NodeAgentConfig config;
+    config.node_name = "n0";
+    config.site = site;
+    Result<std::unique_ptr<NodeAgent>> created =
+        NodeAgent::create(std::move(config), std::move(channels.a));
+    EXPECT_TRUE(created.is_ok()) << created.status().to_string();
+    if (created.is_ok()) agent = created.take();
+  }
+  AgentHarness(const AgentHarness&) = delete;
+  AgentHarness& operator=(const AgentHarness&) = delete;
+  ~AgentHarness() {
+    held_gate().release();
+    agent.reset();
+    proxy->close();
+  }
+
+  /// Opens and starts app 7 (rank 0 here, rank 1 on "n1") and waits until
+  /// its rank sent the frame the proxy end leaves unacked.
+  void launch_held_app() {
+    proto::MpiOpen open;
+    open.app_id = 7;
+    open.executable = "proxy_test.held";
+    open.world_size = 2;
+    open.placements = {{0, site, "n0"}, {1, site, "n1"}};
+    Result<proto::Envelope> ack =
+        proxy->call(proto::OpCode::kMpiOpen, open.serialize(),
+                    5 * kMicrosPerSecond);
+    ASSERT_TRUE(ack.is_ok()) << ack.status().to_string();
+    Result<proto::MpiOpenAck> parsed =
+        proto::MpiOpenAck::parse(ack.value().payload);
+    ASSERT_TRUE(parsed.is_ok() && parsed.value().ok);
+    ASSERT_TRUE(
+        proxy->notify(proto::OpCode::kMpiStart, proto::MpiClose{7}.serialize())
+            .is_ok());
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                            [this] { return batches > 0; }));
+  }
+
+  std::uint64_t dropped_frames() const {
+    return telemetry::MetricRegistry::global()
+        .counter("pg_mpi_frames_dropped_total", "",
+                 {{"site", site}, {"sender", "n0"}, {"reason", "app_closed"}})
+        .value();
+  }
+};
+
+TEST(NodeAgentInline, CloseWhileRunnerRunsReturnsAtOnce) {
+  AgentHarness harness("inline-close");
+  ASSERT_NE(harness.agent, nullptr);
+  ASSERT_NO_FATAL_FAILURE(harness.launch_held_app());
+
+  // A close handler that waited for the runner would stall the node's I/O
+  // thread, and with it the ping's deadline timer; the watchdog bounds
+  // that stall.
+  std::thread watchdog(
+      [] { held_gate().release_after(std::chrono::seconds(5)); });
+  ASSERT_TRUE(harness.proxy
+                  ->notify(proto::OpCode::kMpiClose,
+                           proto::MpiClose{7}.serialize())
+                  .is_ok());
+  // The close handler must not hold the link while the runner runs: a ping
+  // behind it is answered at once.
+  const auto pinged = std::chrono::steady_clock::now();
+  const Result<proto::Envelope> pong = harness.proxy->call(
+      proto::OpCode::kPing, {}, 2 * kMicrosPerSecond);
+  EXPECT_TRUE(pong.is_ok()) << pong.status().to_string();
+  EXPECT_LT(std::chrono::steady_clock::now() - pinged,
+            std::chrono::seconds(2));
+  EXPECT_EQ(harness.dropped_frames(), 0u) << "dropped before the runner ended";
+
+  held_gate().release();
+  watchdog.join();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (harness.dropped_frames() == 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_GE(harness.dropped_frames(), 1u)
+      << "the app's unacked frames were not dropped once the runner ended";
+}
+
+TEST(NodeAgentInline, ShutdownWaitsForDeferredCleanup) {
+  AgentHarness harness("inline-shutdown");
+  ASSERT_NE(harness.agent, nullptr);
+  ASSERT_NO_FATAL_FAILURE(harness.launch_held_app());
+  ASSERT_TRUE(harness.proxy
+                  ->notify(proto::OpCode::kMpiClose,
+                           proto::MpiClose{7}.serialize())
+                  .is_ok());
+  ASSERT_TRUE(harness.proxy->call(proto::OpCode::kPing, {},
+                                  2 * kMicrosPerSecond)
+                  .is_ok());
+
+  std::thread releaser([] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    held_gate().release();
+  });
+  harness.agent->shutdown();
+  // The cleanup ran before shutdown() returned, so destroying the agent
+  // now leaves it nothing to touch.
+  EXPECT_GE(harness.dropped_frames(), 1u);
+  harness.agent.reset();
+  releaser.join();
+}
+
+TEST(InlineControl, TwoSiteLaunchDispatchesNoControlOpOnAStrand) {
+  register_test_apps();
+  grid::GridBuilder builder;
+  builder.seed(19).key_bits(768);
+  builder.add_nodes("siteA", 2);
+  builder.add_nodes("siteB", 2);
+  builder.add_user("alice", "correct-horse", {"mpi.run", "status.query"});
+  Result<std::unique_ptr<grid::Grid>> built = builder.build();
+  ASSERT_TRUE(built.is_ok()) << built.status().to_string();
+  std::unique_ptr<grid::Grid> grid = built.take();
+  Result<Bytes> token = grid->login("siteA", "alice", "correct-horse");
+  ASSERT_TRUE(token.is_ok()) << token.status().to_string();
+
+  auto dispatches = [](const char* path) {
+    return telemetry::MetricRegistry::global()
+        .counter("pg_connection_dispatch_total", "", {{"path", path}})
+        .value();
+  };
+  const std::uint64_t strand_before = dispatches("strand");
+  const std::uint64_t inline_before = dispatches("inline");
+  const AppRunResult result =
+      grid->run_app("siteA", "alice", token.value(), "proxy_test.noop", 4,
+                    grid::SchedulerPolicy::kRoundRobin);
+  ASSERT_TRUE(result.status.is_ok()) << result.status.to_string();
+  std::set<std::string> sites;
+  for (const proto::RankPlacement& p : result.placements) sites.insert(p.site);
+  EXPECT_EQ(sites.size(), 2u);
+
+  // Status queries, opens, starts, dones and closes on site and node links.
+  EXPECT_EQ(dispatches("strand") - strand_before, 0u);
+  EXPECT_GE(dispatches("inline") - inline_before, 10u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <condition_variable>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "net/tcp.hpp"
 #include "proto/messages.hpp"
 #include "proxy/connection.hpp"
+#include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "tls/link.hpp"
 
@@ -291,9 +293,12 @@ struct ConnPair {
   ConnectionPtr b;
 };
 
+/// `non_blocking`, when set, is declared on both ends before they start.
 ConnPair make_pair(Connection::EnvelopeHandler handler_a,
                    Connection::EnvelopeHandler handler_b,
-                   bool export_from_b = false) {
+                   bool export_from_b = false,
+                   std::optional<std::vector<proto::OpCode>> non_blocking =
+                       std::nullopt) {
   net::ChannelPair channels = net::make_memory_channel_pair();
   auto chan_a = std::move(channels.a);
   auto chan_b = std::move(channels.b);
@@ -307,6 +312,10 @@ ConnPair make_pair(Connection::EnvelopeHandler handler_a,
                                        std::move(link_b), false,
                                        std::move(handler_b));
   if (export_from_b) out.b->set_span_export(true, "site-b");
+  if (non_blocking) {
+    out.a->set_non_blocking_ops(*non_blocking);
+    out.b->set_non_blocking_ops(*non_blocking);
+  }
   out.a->start();
   out.b->start();
   return out;
@@ -578,6 +587,204 @@ TEST(ReactorConnection, InlineSendNeverWaitsOnFullTcpQueue) {
   slow.close();  // wakes the writer
   writer.join();
   never_read->close();
+}
+
+/// Handler dispatches so far on one path ("inline" or "strand").
+std::uint64_t dispatches(const char* path) {
+  return telemetry::MetricRegistry::global()
+      .counter("pg_connection_dispatch_total", "", {{"path", path}})
+      .value();
+}
+
+/// Records which ops a handler saw and whether it ran on an I/O thread;
+/// a handler may hold `blocker` until release().
+struct DispatchLog {
+  struct Event {
+    proto::OpCode op;
+    bool on_io_thread;
+  };
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::vector<Event> events;
+  std::optional<proto::OpCode> blocker;
+  bool released = false;
+
+  DispatchLog() = default;
+  DispatchLog(const DispatchLog&) = delete;
+  DispatchLog& operator=(const DispatchLog&) = delete;
+
+  Connection::EnvelopeHandler handler() {
+    return [this](const proto::Envelope& env, Connection&) {
+      std::unique_lock<std::mutex> lock(mutex);
+      events.push_back({env.op, net::Reactor::on_io_thread()});
+      cv.notify_all();
+      if (blocker == env.op) cv.wait(lock, [this] { return released; });
+    };
+  }
+  bool wait_events(std::size_t n) {
+    std::unique_lock<std::mutex> lock(mutex);
+    return cv.wait_for(lock, 10s, [&] { return events.size() >= n; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mutex);
+    released = true;
+    cv.notify_all();
+  }
+};
+
+TEST(ReactorConnection, DeclaredControlOpRunsInlineOnIdleStrand) {
+  DispatchLog log;
+  ConnPair pair = make_pair([](const proto::Envelope&, Connection&) {},
+                            log.handler(), false,
+                            std::vector<proto::OpCode>{proto::OpCode::kPing});
+  const std::uint64_t inline_before = dispatches("inline");
+  const std::uint64_t strand_before = dispatches("strand");
+  ASSERT_TRUE(pair.a->notify(proto::OpCode::kPing, {}).is_ok());
+  ASSERT_TRUE(log.wait_events(1));
+  std::lock_guard<std::mutex> lock(log.mutex);
+  EXPECT_EQ(log.events[0].op, proto::OpCode::kPing);
+  EXPECT_TRUE(log.events[0].on_io_thread);
+  EXPECT_GE(dispatches("inline"), inline_before + 1);
+  EXPECT_EQ(dispatches("strand"), strand_before);
+}
+
+TEST(ReactorConnection, UndeclaredOpStillRunsOnStrand) {
+  DispatchLog log;
+  ConnPair pair = make_pair([](const proto::Envelope&, Connection&) {},
+                            log.handler(), false,
+                            std::vector<proto::OpCode>{proto::OpCode::kPing});
+  const std::uint64_t strand_before = dispatches("strand");
+  ASSERT_TRUE(pair.a->notify(proto::OpCode::kJobSubmit, {}).is_ok());
+  ASSERT_TRUE(log.wait_events(1));
+  std::lock_guard<std::mutex> lock(log.mutex);
+  EXPECT_EQ(log.events[0].op, proto::OpCode::kJobSubmit);
+  EXPECT_FALSE(log.events[0].on_io_thread);
+  EXPECT_EQ(dispatches("strand"), strand_before + 1);
+}
+
+TEST(ReactorConnection, DeclaredOpQueuesBehindBusyStrand) {
+  // kJobSubmit holds the strand; a declared kPing arriving meanwhile must
+  // not overtake it inline, and runs after it, on the strand.
+  DispatchLog log;
+  log.blocker = proto::OpCode::kJobSubmit;
+  ConnPair pair = make_pair([](const proto::Envelope&, Connection&) {},
+                            log.handler(), false,
+                            std::vector<proto::OpCode>{proto::OpCode::kPing});
+  // Unblocks the strand before the pair closes, on every exit path.
+  struct ReleaseOnExit {
+    DispatchLog& log;
+    ~ReleaseOnExit() { log.release(); }
+  } release_on_exit{log};
+  ASSERT_TRUE(pair.a->notify(proto::OpCode::kJobSubmit, {}).is_ok());
+  ASSERT_TRUE(log.wait_events(1));
+  ASSERT_TRUE(pair.a->notify(proto::OpCode::kPing, {}).is_ok());
+  std::this_thread::sleep_for(30ms);
+  {
+    std::lock_guard<std::mutex> lock(log.mutex);
+    EXPECT_EQ(log.events.size(), 1u) << "declared op overtook the busy strand";
+  }
+  log.release();
+  ASSERT_TRUE(log.wait_events(2));
+  std::lock_guard<std::mutex> lock(log.mutex);
+  ASSERT_EQ(log.events.size(), 2u);
+  EXPECT_EQ(log.events[0].op, proto::OpCode::kJobSubmit);
+  EXPECT_EQ(log.events[1].op, proto::OpCode::kPing);
+  EXPECT_FALSE(log.events[1].on_io_thread);
+}
+
+/// Two connections bouncing a kPing back and forth inline: each handler
+/// writes the next hop from the I/O thread until `hops` ran or `stop`.
+struct InlineChain {
+  std::atomic<int> hops{0};
+  std::atomic<bool> stop{false};
+  int limit = 0;
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool finished = false;
+
+  InlineChain() = default;
+  InlineChain(const InlineChain&) = delete;
+  InlineChain& operator=(const InlineChain&) = delete;
+
+  Connection::EnvelopeHandler handler() {
+    return [this](const proto::Envelope& env, Connection& conn) {
+      if (env.op != proto::OpCode::kPing) return;
+      const int hop = hops.fetch_add(1) + 1;
+      if ((limit == 0 || hop < limit) && !stop.load()) {
+        (void)conn.notify(proto::OpCode::kPing, {});
+        return;
+      }
+      std::lock_guard<std::mutex> lock(mutex);
+      finished = true;
+      cv.notify_all();
+    };
+  }
+  bool wait_finished() {
+    std::unique_lock<std::mutex> lock(mutex);
+    return cv.wait_for(lock, 20s, [this] { return finished; });
+  }
+};
+
+TEST(ReactorConnection, SelfWrittenFramesWakeNothing) {
+  // Every hop after the first is written on the I/O thread to a channel
+  // that same thread serves: it is queued on the thread's ready list with
+  // no eventfd write, so the chain costs ~1 wakeup, not one per hop.
+  net::Reactor& reactor = net::Reactor::global();
+  if (reactor.io_thread_count() != 1)
+    GTEST_SKIP() << "channels may land on different I/O threads";
+  constexpr int kHops = 1000;
+  InlineChain chain;
+  chain.limit = kHops;
+  ConnPair pair = make_pair(chain.handler(), chain.handler(), false,
+                            std::vector<proto::OpCode>{proto::OpCode::kPing});
+  const std::uint64_t before = reactor.stats().wakeups;
+  ASSERT_TRUE(pair.a->notify(proto::OpCode::kPing, {}).is_ok());
+  ASSERT_TRUE(chain.wait_finished());
+  const std::uint64_t wakeups = reactor.stats().wakeups - before;
+  EXPECT_EQ(chain.hops.load(), kHops);
+  EXPECT_LT(wakeups, static_cast<std::uint64_t>(kHops / 10))
+      << "inline hops woke the I/O thread";
+}
+
+TEST(ReactorConnection, IoTimerFiresWhileInlineHopsRefillReadyList) {
+  // An endless inline chain keeps the I/O thread's ready list non-empty;
+  // a kIo timer must still fire, between hops, while the chain runs.
+  InlineChain chain;
+  ConnPair pair = make_pair(chain.handler(), chain.handler(), false,
+                            std::vector<proto::OpCode>{proto::OpCode::kPing});
+  ASSERT_TRUE(pair.a->notify(proto::OpCode::kPing, {}).is_ok());
+  const auto running_by = std::chrono::steady_clock::now() + 10s;
+  while (chain.hops.load() < 100 &&
+         std::chrono::steady_clock::now() < running_by)
+    std::this_thread::sleep_for(1ms);
+  ASSERT_GE(chain.hops.load(), 100);
+
+  std::mutex mutex;
+  std::condition_variable cv;
+  int hops_at_fire = -1;
+  const net::Reactor::TimerId timer = net::Reactor::global().schedule_timer(
+      5000,
+      [&] {
+        std::lock_guard<std::mutex> lock(mutex);
+        hops_at_fire = chain.hops.load();
+        cv.notify_all();
+      },
+      net::Reactor::TimerThread::kIo);
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    EXPECT_TRUE(cv.wait_for(lock, 10s, [&] { return hops_at_fire >= 0; }))
+        << "timer starved by inline hops";
+  }
+  // The chain was still running when the timer fired, and keeps going.
+  const int fired_at = hops_at_fire;
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (chain.hops.load() <= fired_at &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(1ms);
+  EXPECT_GT(chain.hops.load(), fired_at);
+  chain.stop.store(true);
+  EXPECT_TRUE(chain.wait_finished());
+  net::Reactor::global().cancel_timer(timer);  // in case it never fired
 }
 
 }  // namespace
