@@ -8,12 +8,15 @@ namespace {
 constexpr std::size_t kSaltSize = 16;
 }
 
-Bytes PasswordStore::stretch(const std::string& password,
-                             BytesView salt) const {
-  Bytes acc = crypto::hmac_sha256(salt, to_bytes(password));
-  for (std::uint32_t i = 1; i < iterations_; ++i) {
-    acc = crypto::hmac_sha256(salt, acc);
-  }
+Bytes PasswordStore::stretch(std::string_view password, BytesView salt,
+                             std::uint32_t iterations) {
+  // Keyed once per derivation, as PBKDF2 does: every round after the first
+  // MACs the previous 32-byte tag in two compressions, in place.
+  crypto::HmacSha256 mac(salt);
+  mac.update(to_bytes(password));
+  Bytes acc = mac.finish();
+  for (std::uint32_t i = 1; i < iterations; ++i)
+    mac.mac32_into(acc.data(), acc.data());
   return acc;
 }
 
@@ -21,7 +24,7 @@ void PasswordStore::set_password(const std::string& user,
                                  const std::string& password, Rng& rng) {
   Entry entry;
   entry.salt = rng.next_bytes(kSaltSize);
-  entry.hash = stretch(password, entry.salt);
+  entry.hash = stretch(password, entry.salt, iterations_);
   entries_[user] = std::move(entry);
 }
 
@@ -38,7 +41,7 @@ Status PasswordStore::verify(const std::string& user,
   const auto it = entries_.find(user);
   if (it == entries_.end())
     return error(ErrorCode::kUnauthenticated, "bad user or password");
-  const Bytes candidate = stretch(password, it->second.salt);
+  const Bytes candidate = stretch(password, it->second.salt, iterations_);
   if (!constant_time_equal(candidate, it->second.hash))
     return error(ErrorCode::kUnauthenticated, "bad user or password");
   return Status::ok();

@@ -7,6 +7,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
@@ -33,13 +34,17 @@ class PasswordStore {
 
   std::size_t user_count() const { return entries_.size(); }
 
+  /// The stored hash of `password` under `salt`: HMAC-SHA-256 keyed by the
+  /// salt over the password, then `iterations` - 1 more rounds, each over
+  /// the previous tag.
+  static Bytes stretch(std::string_view password, BytesView salt,
+                       std::uint32_t iterations);
+
  private:
   struct Entry {
     Bytes salt;
     Bytes hash;
   };
-
-  Bytes stretch(const std::string& password, BytesView salt) const;
 
   std::uint32_t iterations_;
   std::map<std::string, Entry> entries_;

@@ -1,9 +1,26 @@
 #include "crypto/hmac.hpp"
 
+#include <array>
 #include <cassert>
 #include <cstring>
 
 namespace pg::crypto {
+
+namespace {
+
+/// The second half of the one block that finishes a hash over a 64-byte
+/// pad block and a 32-byte message: 0x80, zeros, then the 64-bit
+/// big-endian message length in bits, (64 + 32) * 8 = 768.
+constexpr std::array<std::uint8_t, kSha256DigestSize> kTail32 = [] {
+  std::array<std::uint8_t, kSha256DigestSize> tail{};
+  tail[0] = 0x80;
+  constexpr std::uint64_t bits = (kSha256BlockSize + kSha256DigestSize) * 8;
+  for (int i = 0; i < 8; ++i)
+    tail[24 + i] = static_cast<std::uint8_t>(bits >> (56 - 8 * i));
+  return tail;
+}();
+
+}  // namespace
 
 HmacSha256::HmacSha256(BytesView key) {
   std::uint8_t k[kSha256BlockSize] = {};
@@ -41,6 +58,16 @@ Bytes HmacSha256::finish() {
   Bytes tag(kSha256DigestSize);
   finish_into(tag.data());
   return tag;
+}
+
+void HmacSha256::mac32_into(const std::uint8_t* msg, std::uint8_t* out) const {
+  std::uint8_t block[kSha256BlockSize];
+  std::memcpy(block, msg, kSha256DigestSize);
+  std::memcpy(block + kSha256DigestSize, kTail32.data(), kTail32.size());
+  // The inner digest replaces the message; the tail stays valid, since the
+  // outer hash also covers one pad block and 32 bytes.
+  inner_base_.finish_block_into(block, block);
+  outer_base_.finish_block_into(block, out);
 }
 
 Bytes hmac_sha256(BytesView key, BytesView data) {

@@ -22,6 +22,13 @@ class HmacSha256 {
   void finish_into(std::uint8_t* out);
   Bytes finish();
 
+  /// HMAC of a 32-byte message in two compressions and no heap use: the
+  /// inner and the outer hash each finish from their keyed pad state with
+  /// one prebuilt block (message, 0x80, zeros, bit length 768). For chains
+  /// that MAC a previous tag, like password stretching. `out` may alias
+  /// `msg`. Independent of update()/reset(): the streaming state is unused.
+  void mac32_into(const std::uint8_t* msg, std::uint8_t* out) const;
+
  private:
   Sha256 inner_base_;  // keyed with ipad, never finalized
   Sha256 outer_base_;  // keyed with opad, never finalized

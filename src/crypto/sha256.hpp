@@ -26,11 +26,13 @@ class Sha256 {
   Bytes finish();
   /// Allocation-free finalize: writes the digest to `out` (32 bytes).
   void finish_into(std::uint8_t* out);
+  /// Compresses `block`, a final block the caller has already padded, into
+  /// a copy of the state and writes that digest to `out` (32 bytes; may
+  /// alias `block`). This object is left unchanged. Precondition: whole
+  /// blocks only have been absorbed, as in a keyed HMAC pad state.
+  void finish_block_into(const std::uint8_t* block, std::uint8_t* out) const;
 
  private:
-  void process_block(const std::uint8_t* block);
-  void process_blocks(const std::uint8_t* blocks, std::size_t nblocks);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, kSha256BlockSize> buffer_;
   std::size_t buffer_len_ = 0;

@@ -146,6 +146,10 @@ ProxyInstruments::ProxyInstruments(const std::string& site)
           "pg_proxy_dispatch_micros",
           "Control-envelope handler latency (microseconds)",
           telemetry::duration_buckets_micros(), {{"site", site}})),
+      login_micros(telemetry::MetricRegistry::global().histogram(
+          "pg_proxy_login_micros",
+          "User authentication latency per login (microseconds)",
+          telemetry::duration_buckets_micros(), {{"site", site}})),
       mpi_ack_rtt_micros(telemetry::MetricRegistry::global().histogram(
           "pg_mpi_ack_rtt_micros",
           "kMpiBatchAck round-trip time, clean (never-retransmitted) batches",

@@ -147,6 +147,9 @@ class ProxyInstruments {
 
   /// Inter-proxy envelope dispatch latency (handler run time, micros).
   telemetry::Histogram& dispatch_micros;
+  /// User authentication cost, one observation per ProxyServer::login call
+  /// (micros): for a password login, mostly the salted stretch.
+  telemetry::Histogram& login_micros;
   /// Ack round-trip times (micros), sampled only from batches that were
   /// never retransmitted (Karn's rule keeps the estimator honest).
   telemetry::Histogram& mpi_ack_rtt_micros;

@@ -59,8 +59,10 @@ SenderWindowConfig window_config(const ProxyConfig& config) {
 /// Ops whose handlers never block, on site and node links alike: they run
 /// on the reactor I/O thread when the connection's strand is idle
 /// (docs/PERFORMANCE.md, "Inline control path"). Left on the strand:
-/// kAuthRequest (an RSA sign would stall every connection sharing the I/O
-/// thread), kJobSubmit and kJobQuery, and extension ops, which may block.
+/// kAuthRequest (a password login's salted stretch, ~170 us of CPU, would
+/// stall every connection sharing the I/O thread; a signature login costs
+/// an RSA verify, not a sign), kJobSubmit and kJobQuery, and extension
+/// ops, which may block.
 constexpr proto::OpCode kInlineOps[] = {
     proto::OpCode::kHello,        proto::OpCode::kPing,
     proto::OpCode::kHeartbeat,    proto::OpCode::kStatusQuery,
@@ -240,6 +242,7 @@ std::vector<std::string> ProxyServer::alive_peers(TimeMicros timeout) {
 proto::AuthResponse ProxyServer::login(const proto::AuthRequest& request) {
   telemetry::Span span =
       telemetry::Tracer::global().start_span("proxy.login", config_.site);
+  telemetry::ScopedTimer timer(instruments_.login_micros);
   instruments_.logins.increment();
   proto::AuthResponse response =
       authenticator_.authenticate(request, config_.clock->now());

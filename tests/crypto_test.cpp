@@ -1,9 +1,11 @@
 // Known-answer and property tests for the crypto substrate.
 //
 // Vectors: SHA-256 from FIPS 180-4 examples, HMAC from RFC 4231, HKDF from
-// RFC 5869, ChaCha20 from RFC 8439 §2.4.2.
+// RFC 5869, ChaCha20 from RFC 8439 §2.4.2. The password-stretch vector pins
+// the stored-hash format of auth::PasswordStore, which is built on HMAC.
 #include <gtest/gtest.h>
 
+#include "auth/password.hpp"
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "crypto/bigint.hpp"
@@ -136,6 +138,50 @@ TEST(Hmac, ResetReusesPrecomputedPads) {
         hex_encode(mac.finish()),
         "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
   }
+}
+
+TEST(Hmac, Mac32MatchesOneShotForEveryKeyLength) {
+  // 65- and 100-byte keys take the hashed-key branch.
+  Rng rng(12);
+  for (const std::size_t key_len : {0u, 16u, 32u, 64u, 65u, 100u}) {
+    const Bytes key = rng.next_bytes(key_len);
+    const Bytes msg = rng.next_bytes(kSha256DigestSize);
+    HmacSha256 mac(key);
+    mac.update(to_bytes("streaming state the fixed-size path ignores"));
+    Bytes tag(kSha256DigestSize);
+    mac.mac32_into(msg.data(), tag.data());
+    EXPECT_EQ(tag, hmac_sha256(key, msg)) << "key length " << key_len;
+  }
+}
+
+/// Password stretching as it was before the HMAC was keyed once: a
+/// one-shot HMAC per round.
+Bytes per_round_stretch(std::string_view password, BytesView salt,
+                        std::uint32_t rounds) {
+  Bytes acc = hmac_sha256(salt, to_bytes(password));
+  for (std::uint32_t i = 1; i < rounds; ++i) acc = hmac_sha256(salt, acc);
+  return acc;
+}
+
+TEST(PasswordStretch, MatchesPerRoundHmacChain) {
+  Rng rng(13);
+  const Bytes salt = rng.next_bytes(16);
+  for (const std::uint32_t rounds : {1u, 2u, 1000u}) {
+    EXPECT_EQ(auth::PasswordStore::stretch("hunter2", salt, rounds),
+              per_round_stretch("hunter2", salt, rounds))
+        << rounds << " rounds";
+  }
+}
+
+TEST(PasswordStretch, KnownAnswerPinsStoredHashFormat) {
+  // Computed with the per-round chain. If this changes, every stored
+  // password hash stops verifying.
+  Bytes salt(16);
+  for (std::size_t i = 0; i < salt.size(); ++i)
+    salt[i] = static_cast<std::uint8_t>(i);
+  EXPECT_EQ(hex_encode(auth::PasswordStore::stretch(
+                "correct horse battery staple", salt, 1000)),
+            "6a1762073dc01b9fd433a643494ee589f3f9c0fca72a2308148b349280f91cbf");
 }
 
 TEST(Hkdf, Rfc5869Case1) {
