@@ -4,7 +4,8 @@
 // and measures request latency through a hot subset while the rest idle.
 // Under the old thread-per-connection reader model this fleet would need
 // 20k+ reader threads; the reactor holds it on a bounded set (io threads +
-// workers + transient strand drainers), which the `threads` counter proves.
+// timer workers + the main thread), which the `os_threads` counter proves
+// against `reactor_io_threads` + `reactor_workers`.
 //
 // The fleet mixes real TCP sockets (epoll edge-triggered path, capped by
 // RLIMIT_NOFILE) with in-process memory channels (the fd-less readiness
@@ -142,9 +143,12 @@ void BM_PingWithConcurrentConnections(benchmark::State& state) {
   state.counters["connections"] =
       static_cast<double>(fleet.pairs.size() * 2);  // both ends registered
   state.counters["tcp_connections"] = static_cast<double>(fleet.tcp_pairs * 2);
-  state.counters["threads"] = static_cast<double>(thread_count());
+  // Not "threads": google-benchmark writes its own field of that name.
+  state.counters["os_threads"] = static_cast<double>(thread_count());
   state.counters["reactor_io_threads"] =
       static_cast<double>(net::Reactor::global().io_thread_count());
+  state.counters["reactor_workers"] =
+      static_cast<double>(net::Reactor::global().worker_count());
 }
 BENCHMARK(BM_PingWithConcurrentConnections)
     ->Arg(100)
@@ -153,8 +157,8 @@ BENCHMARK(BM_PingWithConcurrentConnections)
     ->Unit(benchmark::kMicrosecond);
 
 /// Connection lifecycle rate: open (reactor registration), one round trip,
-/// close (strand quiesce + reactor detach). The churn path CI's sanitizer
-/// matrix also hammers.
+/// close (reactor detach). The churn path CI's sanitizer matrix also
+/// hammers.
 void BM_ConnectionChurn(benchmark::State& state) {
   const Bytes payload = to_bytes("churn");
   std::uint64_t ok = 0;

@@ -1,12 +1,14 @@
 // Process-wide on-demand thread cache (paper layer "Threads": the threads
 // the proxies give to the MPI processes they launch).
 //
-// A node agent's application runner and every MPI rank run on one of these
-// threads. run() hands the task to a parked idle thread, or starts a new
-// one when none is idle, so a steady stream of launches reuses the same
-// threads instead of creating and joining fresh ones. An idle thread exits
-// after kIdleLinger. There is no size cap: ranks block on each other, and
-// a fixed pool would deadlock a job with more ranks than threads.
+// A node agent's application runner, every MPI rank and every handler
+// that Connection::offload() moves off a reactor I/O thread (a remote
+// login, a node's user service) run on one of these threads. run() hands
+// the task to a parked idle thread, or starts a new one when none is idle,
+// so a steady stream of launches reuses the same threads instead of
+// creating and joining fresh ones. An idle thread exits after
+// kIdleLinger. There is no size cap: ranks block on each other, and a
+// fixed pool would deadlock a job with more ranks than threads.
 //
 // Exported metrics: pg_thread_cache_threads{state="busy"|"idle"} and
 // pg_thread_cache_spawned_total.
@@ -20,8 +22,7 @@ namespace pg {
 
 class ThreadCache {
  public:
-  /// How long a thread stays parked for the next task before it exits
-  /// (the strand drainers linger as long).
+  /// How long a thread stays parked for the next task before it exits.
   static constexpr std::chrono::milliseconds kIdleLinger{100};
 
   /// Completion of one task. Copyable; an empty handle is already done.

@@ -5,11 +5,10 @@
 // callback readiness shim for in-process ones), reads into pooled buffers,
 // runs the link's incremental frame decoder on whatever bytes arrived, and
 // hands complete messages to the registration's on_frame callback — which
-// must never block. Connection runs the ops its owner declared
-// non-blocking (MPI data batches, and the proxy's and node agent's control
-// ops) to completion right there when its strand is idle, and acks always,
-// and queues everything else onto its strand, a FIFO drained by an
-// on-demand thread. Writes that cannot complete immediately queue inside
+// must never block. Connection runs every envelope's handler to
+// completion right there; the few handlers whose work blocks hand it to
+// the process ThreadCache (Connection::offload). Writes that cannot
+// complete immediately queue inside
 // the channel and are drained here on EPOLLOUT; a write issued on an I/O
 // thread never waits for that queue to shrink (Reactor::on_io_thread).
 //

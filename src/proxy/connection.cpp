@@ -13,41 +13,14 @@ namespace {
 /// Completed-request ids remembered per connection for retransmit replies.
 constexpr std::size_t kDedupWindow = 128;
 
-/// Inbox flow control: past the high-water mark the connection pauses
-/// reactor reads (bytes back up into the kernel buffer / pipe, pushing
-/// back on the sender); reads resume at the low-water mark.
-constexpr std::size_t kInboxHighMsgs = 256;
-constexpr std::size_t kInboxHighBytes = 4 * 1024 * 1024;
-constexpr std::size_t kInboxLowMsgs = 64;
-constexpr std::size_t kInboxLowBytes = 1024 * 1024;
-
-/// How long an idle strand drainer waits for more envelopes before its
-/// thread exits. Hot connections keep one drainer alive across bursts;
-/// idle connections hold no thread at all.
-constexpr std::chrono::milliseconds kDrainLinger{100};
-
-/// Where handler dispatches ran, and how many drainer threads are alive.
-/// Resolved once per process; every connection shares them.
-struct StrandInstruments {
-  telemetry::Counter& inline_dispatches;
-  telemetry::Counter& strand_dispatches;
-  telemetry::Gauge& drainers;
-};
-
-const StrandInstruments& strand_instruments() {
-  static const StrandInstruments instruments = [] {
-    auto& registry = telemetry::MetricRegistry::global();
-    const std::string help =
-        "Envelopes dispatched to a connection handler, by where it ran";
-    return StrandInstruments{
-        registry.counter("pg_connection_dispatch_total", help,
-                         {{"path", "inline"}}),
-        registry.counter("pg_connection_dispatch_total", help,
-                         {{"path", "strand"}}),
-        registry.gauge("pg_strand_drainers",
-                       "Strand drainer threads currently alive")};
-  }();
-  return instruments;
+/// Received frames that did not parse as an envelope, over every
+/// connection. Resolved once per process.
+telemetry::Counter& malformed_envelopes() {
+  static telemetry::Counter& counter =
+      telemetry::MetricRegistry::global().counter(
+          "pg_connection_malformed_envelopes_total",
+          "Received frames dropped because they do not parse as an envelope");
+  return counter;
 }
 }  // namespace
 
@@ -75,23 +48,6 @@ bool is_response_op(proto::OpCode op) {
   }
 }
 
-/// Per-connection serial execution context. Shared between the Connection
-/// and its (detached) drainer thread so a drainer that outlives a closing
-/// connection only ever touches this block, never the Connection.
-struct Connection::Strand {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<proto::Envelope> inbox;
-  std::size_t inbox_bytes = 0;
-  bool draining = false;      // a drainer thread owns the inbox
-  bool busy = false;          // the drainer is running a popped envelope
-  bool paused = false;        // reactor reads paused (high-water)
-  bool closed = false;        // no further dispatch; drainer exits
-  bool dead_pending = false;  // run finalize_close after the inbox drains
-  std::thread::id active{};   // the drainer's id while it runs
-  Connection* conn = nullptr;  // valid while !closed or draining
-};
-
 Connection::Connection(std::string peer_name, net::ChannelPtr channel,
                        tls::MessageLinkPtr link, bool initiator,
                        EnvelopeHandler handler)
@@ -99,11 +55,8 @@ Connection::Connection(std::string peer_name, net::ChannelPtr channel,
       channel_(std::move(channel)),
       link_(std::move(link)),
       handler_(std::move(handler)),
-      strand_(std::make_shared<Strand>()),
       last_activity_(steady_micros()),
       next_id_(initiator ? 1 : 2) {
-  strand_->conn = this;
-  non_blocking_.set(static_cast<std::size_t>(proto::OpCode::kMpiBatch));
   // send_parts waits for queue space before taking send_mutex_, never
   // inside it (see there).
   channel_->pace_writes_externally();
@@ -130,19 +83,6 @@ void Connection::start() {
     return;
   }
   reactor_id_.store(id.value(), std::memory_order_release);
-}
-
-void Connection::set_non_blocking_ops(std::span<const proto::OpCode> ops) {
-  non_blocking_.reset();
-  for (const proto::OpCode op : ops) {
-    const auto code = static_cast<std::size_t>(op);
-    if (code < kInlineOpLimit) non_blocking_.set(code);
-  }
-}
-
-bool Connection::non_blocking(proto::OpCode op) const {
-  const auto code = static_cast<std::size_t>(op);
-  return code < kInlineOpLimit && non_blocking_.test(code);
 }
 
 void Connection::set_on_close(std::function<void(const Status&)> on_close) {
@@ -287,8 +227,15 @@ void Connection::on_frame(BytesView frame) {
 
   Result<proto::Envelope> parsed = proto::Envelope::deserialize(frame);
   if (!parsed.is_ok()) {
-    PG_WARN << "dropping malformed envelope from " << peer_name_ << ": "
-            << parsed.status().to_string();
+    // Counted, and logged once per connection: a peer sending garbage must
+    // not flood the log from the I/O thread every connection shares.
+    malformed_envelopes().increment();
+    if (!warned_malformed_) {
+      warned_malformed_ = true;
+      PG_WARN << "dropping malformed envelope from " << peer_name_
+              << " (later ones are only counted): "
+              << parsed.status().to_string();
+    }
     return;
   }
   proto::Envelope env = parsed.take();
@@ -302,55 +249,8 @@ void Connection::on_frame(BytesView frame) {
     // as responses, so an unmatched id means this is an incoming request
     // (id parity keeps the two directions' ids disjoint). Fall through.
   }
-
-  // Declared non-blocking ops run to completion right here when the strand
-  // is idle: no thread handoff per hop. Otherwise they queue behind
-  // whatever the strand holds, so per-connection order holds (a batch never
-  // overtakes a queued kMpiStart). Standalone acks always run here: they
-  // only release window entries, which commutes with everything else on
-  // the connection, and an ack stuck behind a busy strand makes its sender
-  // resend.
-  const bool ack = env.op == proto::OpCode::kMpiBatchAck;
-  const bool declared = non_blocking(env.op);
-  bool run_inline = false;
-  bool spawn = false;
-  bool pause = false;
-  {
-    std::lock_guard<std::mutex> lock(strand_->mutex);
-    if (strand_->closed) return;
-    run_inline =
-        ack || (declared && strand_->inbox.empty() && !strand_->busy);
-    if (!run_inline) {
-      strand_->inbox_bytes += env.payload.size();
-      strand_->inbox.push_back(std::move(env));
-      if (!strand_->draining) {
-        strand_->draining = true;
-        spawn = true;
-      } else {
-        strand_->cv.notify_one();  // wake a lingering drainer
-      }
-      if (!strand_->paused && (strand_->inbox.size() >= kInboxHighMsgs ||
-                               strand_->inbox_bytes >= kInboxHighBytes)) {
-        strand_->paused = true;
-        pause = true;
-      }
-    }
-  }
-  const StrandInstruments& instruments = strand_instruments();
-  if (run_inline) {
-    instruments.inline_dispatches.increment();
-    // An idle strand stays idle meanwhile, since only this I/O thread feeds
-    // its inbox; close() waits out this call through the reactor's remove
-    // barrier.
-    process_envelope(env);
-    return;
-  }
-  instruments.strand_dispatches.increment();
-  if (pause) {
-    const std::uint64_t rid = reactor_id_.load(std::memory_order_acquire);
-    if (rid != 0) net::Reactor::global().pause_reads(rid);
-  }
-  if (spawn) spawn_drainer();
+  // close() waits out this call through the reactor's remove barrier.
+  process_envelope(env);
 }
 
 void Connection::on_stream_closed(const Status& reason) {
@@ -358,86 +258,35 @@ void Connection::on_stream_closed(const Status& reason) {
                           ? error(ErrorCode::kUnavailable, "link closed")
                           : reason);
   alive_.store(false, std::memory_order_release);
-  // Fail waiters immediately — a pending call must not wait for the
-  // strand to finish whatever it is handling.
   fail_pending();
+  // Every delivered envelope's handler has run by now.
+  finalize_close();
+}
 
-  // Defer the on_close notification through the strand so it runs after
-  // every already-delivered envelope, off the I/O thread (it may block).
-  bool spawn = false;
+// ----------------------------------------------------------------- dispatch
+
+template <typename Fn>
+void Connection::run_traced(telemetry::TraceContext context,
+                            proto::OpCode op, Fn&& fn) {
+  telemetry::ScopedTraceContext trace_scope(context);
+  if (!export_spans_.load(std::memory_order_acquire) ||
+      context.trace_id == 0 || op == proto::OpCode::kTraceExport ||
+      telemetry::Tracer::global().originated_here(context.trace_id)) {
+    fn();
+    return;
+  }
+  // Foreign trace: collect the spans `fn` finishes (on this thread) and
+  // ship them back toward the origin.
+  std::vector<telemetry::SpanRecord> collected;
   {
-    std::lock_guard<std::mutex> lock(strand_->mutex);
-    if (strand_->closed) return;  // local close() owns finalization
-    strand_->dead_pending = true;
-    if (!strand_->draining) {
-      strand_->draining = true;
-      spawn = true;
-    } else {
-      strand_->cv.notify_one();
-    }
-  }
-  if (spawn) spawn_drainer();
-}
-
-// ------------------------------------------------------------------ strand
-
-void Connection::spawn_drainer() {
-  strand_instruments().drainers.add(1);
-  std::thread(&Connection::drain_loop, strand_).detach();
-}
-
-void Connection::drain_loop(std::shared_ptr<Strand> strand) {
-  std::unique_lock<std::mutex> lock(strand->mutex);
-  strand->active = std::this_thread::get_id();
-  for (;;) {
-    if (strand->closed) break;
-    if (!strand->inbox.empty()) {
-      proto::Envelope env = std::move(strand->inbox.front());
-      strand->inbox.pop_front();
-      strand->inbox_bytes -= env.payload.size();
-      bool resume = false;
-      if (strand->paused && strand->inbox.size() <= kInboxLowMsgs &&
-          strand->inbox_bytes <= kInboxLowBytes) {
-        strand->paused = false;
-        resume = true;
-      }
-      strand->busy = true;
-      Connection* conn = strand->conn;
-      lock.unlock();
-      // `conn` stays valid: close() waits for draining to clear, and we
-      // hold draining=true until exit.
-      if (resume) conn->resume_reads();
-      conn->process_envelope(env);
-      lock.lock();
-      strand->busy = false;
-      continue;
-    }
-    if (strand->dead_pending) {
-      strand->dead_pending = false;
-      Connection* conn = strand->conn;
-      lock.unlock();
-      // May destroy the Connection (owners often delete it from on_close)
-      // — afterwards only `strand` may be touched.
-      conn->finalize_close();
-      lock.lock();
-      break;
-    }
-    // Idle: linger for the next burst so hot connections reuse this
-    // thread; exit if nothing shows up.
-    const bool woke =
-        strand->cv.wait_for(lock, kDrainLinger, [&strand] {
-          return strand->closed || !strand->inbox.empty() ||
-                 strand->dead_pending;
+    telemetry::ScopedSpanSink sink(
+        [&collected,
+         trace_id = context.trace_id](const telemetry::SpanRecord& record) {
+          if (record.trace_id == trace_id) collected.push_back(record);
         });
-    if (!woke) break;
+    fn();
   }
-  // Counted out before draining clears, so the gauge is current once
-  // close() returns.
-  strand_instruments().drainers.add(-1);
-  strand->active = std::thread::id{};
-  strand->draining = false;
-  lock.unlock();
-  strand->cv.notify_all();
+  if (!collected.empty() && alive()) send_span_export(collected);
 }
 
 void Connection::process_envelope(const proto::Envelope& env) {
@@ -463,29 +312,24 @@ void Connection::process_envelope(const proto::Envelope& env) {
       dedup_order_.pop_front();
     }
   }
-  // The sender's trace context becomes this thread's current context for
-  // the handler, so spans the handler opens parent across the hop.
-  telemetry::ScopedTraceContext trace_scope(
-      telemetry::TraceContext{env.trace_id, env.span_id});
-  if (export_spans_.load(std::memory_order_acquire) && env.trace_id != 0 &&
-      env.op != proto::OpCode::kTraceExport &&
-      !telemetry::Tracer::global().originated_here(env.trace_id)) {
-    // Foreign trace: collect the spans this handler finishes (on this
-    // thread) and ship them back toward the origin.
-    std::vector<telemetry::SpanRecord> collected;
-    {
-      telemetry::ScopedSpanSink sink(
-          [&collected, &env](const telemetry::SpanRecord& record) {
-            if (record.trace_id == env.trace_id) collected.push_back(record);
-          });
-      handler_(env, *this);
-    }
-    if (!collected.empty() && alive_.load(std::memory_order_acquire)) {
-      send_span_export(collected);
-    }
-  } else {
-    handler_(env, *this);
+  run_traced(telemetry::TraceContext{env.trace_id, env.span_id}, env.op,
+             [&] { handler_(env, *this); });
+}
+
+ThreadCache::Handle Connection::offload(const proto::Envelope& request,
+                                        EnvelopeHandler work) {
+  {
+    std::lock_guard<std::mutex> lock(offload_mutex_);
+    if (++offloads_ == kMaxOffloads) set_reads_paused(true);
   }
+  return ThreadCache::run([self = shared_from_this(), request,
+                           work = std::move(work),
+                           context = telemetry::Tracer::current()] {
+    self->run_traced(context, request.op, [&] { work(request, *self); });
+    // Pause and resume happen under the lock, so they cannot reorder.
+    std::lock_guard<std::mutex> lock(self->offload_mutex_);
+    if (self->offloads_-- == kMaxOffloads) self->set_reads_paused(false);
+  });
 }
 
 void Connection::send_span_export(
@@ -509,9 +353,14 @@ void Connection::send_span_export(
   (void)notify(proto::OpCode::kTraceExport, msg.serialize());
 }
 
-void Connection::resume_reads() {
+void Connection::set_reads_paused(bool paused) {
   const std::uint64_t rid = reactor_id_.load(std::memory_order_acquire);
-  if (rid != 0) net::Reactor::global().resume_reads(rid);
+  if (rid == 0) return;
+  if (paused) {
+    net::Reactor::global().pause_reads(rid);
+  } else {
+    net::Reactor::global().resume_reads(rid);
+  }
 }
 
 // ------------------------------------------------------------------- close
@@ -545,17 +394,6 @@ void Connection::close(const Status& reason) {
   const std::uint64_t rid =
       reactor_id_.exchange(0, std::memory_order_acq_rel);
   if (rid != 0) net::Reactor::global().remove_channel(rid);
-  // Quiesce the strand: after this no handler for this connection runs.
-  // When close() is called from the strand itself (a handler closing its
-  // own connection), skip the wait — the drainer exits after we return.
-  {
-    std::unique_lock<std::mutex> lock(strand_->mutex);
-    strand_->closed = true;
-    strand_->cv.notify_all();
-    if (strand_->active != std::this_thread::get_id()) {
-      strand_->cv.wait(lock, [this] { return !strand_->draining; });
-    }
-  }
   fail_pending();
   finalize_close();
 }

@@ -6,43 +6,34 @@
 // (GSSL tunnels between sites) and proxy <-> node (plaintext by default,
 // GSSL when the deployment or an explicit request demands it).
 //
-// Receive path: the reactor's I/O thread decodes complete envelopes and
-// calls on_frame. A response runs its call's continuation right there
-// (call_async; a reactor timer fails it at the deadline), so a relay holds
-// no thread while it waits, and the blocking call() is a latch over it.
-// The owner declares which ops its handler never blocks on
-// (set_non_blocking_ops; kMpiBatch by default). Such an op runs to
-// completion on the I/O thread when the strand is idle (empty inbox, no
-// handler running): a hop costs no thread handoff. Standalone acks
-// (kMpiBatchAck) always run there, since applying an ack commutes with
-// everything else on the connection. Every other op, and a declared op
-// that arrives while the strand has work, lands in the connection's strand
-// — a FIFO inbox drained by one on-demand thread that runs the handler
-// serially (preserving receive order) and lingers briefly for more work
-// before exiting. So per-connection order holds on both paths.
-// Strand handlers may block or run long (job submission, node-agent
-// services, extension ops, auth's RSA signing): that stalls only this
-// connection's strand, never the I/O threads. Idle connections hold no
-// thread at all, which is what lets one proxy carry 10k+ mostly-idle
-// connections (bench_connections).
+// Receive path: one dispatch path. The reactor's I/O thread decodes
+// complete envelopes and calls on_frame. A response runs its call's
+// continuation right there (call_async; a reactor timer fails it at the
+// deadline), so a relay holds no thread while it waits, and the blocking
+// call() is a latch over it. Every other envelope runs its handler to
+// completion right there too, in receive order: a hop costs no thread
+// handoff, and a connection holds no thread of its own, idle or busy,
+// which is what lets one proxy carry 10k+ connections on the reactor's
+// threads alone (bench_connections). So a handler must not block. The few
+// ops that do (a remote login's password stretch, a node's user service)
+// hand themselves to offload(), which runs them on the process-wide
+// ThreadCache; the decision lives in the handler that knows it blocks.
 //
-// Backpressure: when a strand's inbox passes a high-water mark the
-// connection pauses reactor reads — bytes then accumulate in the kernel
-// socket buffer (or in-process pipe), pushing back on the sender exactly
-// like the old one-envelope-at-a-time reader did. Reads resume at a
-// low-water mark. On the send side, a writer waits for space in the
-// channel's bounded send queue before it takes the send lock, never while
-// holding it, and a reactor I/O thread never waits at all (it is the
-// thread that drains the queue).
+// Backpressure: offload() caps the tasks in flight per connection at
+// kMaxOffloads. At the cap the connection pauses reactor reads — bytes
+// then accumulate in the kernel socket buffer (or in-process pipe),
+// pushing back on the sender — until one of them finishes. Every other
+// envelope is paced by the I/O thread that runs it. On the send side, a
+// writer waits for space in the channel's bounded send queue before it
+// takes the send lock, never while holding it, and a reactor I/O thread
+// never waits at all (it is the thread that drains the queue).
 //
-// Exported metrics: pg_connection_dispatch_total{path="inline"|"strand"}
-// (handler dispatches by where they ran) and pg_strand_drainers (live
-// drainer threads).
+// Exported metrics: pg_connection_malformed_envelopes_total (received
+// frames dropped because they do not parse as an envelope; each
+// connection logs only its first).
 #pragma once
 
 #include <atomic>
-#include <bitset>
-#include <condition_variable>
 #include <deque>
 #include <functional>
 #include <future>
@@ -50,13 +41,12 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/clock.hpp"
 #include "common/status.hpp"
+#include "common/thread_cache.hpp"
 #include "net/channel.hpp"
 #include "net/reactor.hpp"
 #include "proto/envelope.hpp"
@@ -80,14 +70,12 @@ T await_result(Start&& start) {
 
 class Connection : public std::enable_shared_from_this<Connection> {
  public:
-  /// Invoked for every envelope that is not a response to a pending call:
-  /// on the connection's strand, serially and in receive order, or inline
-  /// on the reactor I/O thread for a declared non-blocking op that finds
-  /// the strand idle and for every kMpiBatchAck (which may thus overlap a
-  /// strand handler). May block for any other op. For the inline ones it
-  /// must never block: no blocking call(), no close() or reactor remove
-  /// barrier, no wait for another thread, and no lock held across any of
-  /// these. Must be thread-safe against other connections' handlers.
+  /// Invoked for every envelope that is not a response to a pending call,
+  /// on the reactor I/O thread, serially and in receive order. Must never
+  /// block: no blocking call(), no close() or reactor remove barrier, no
+  /// wait for another thread, and no lock held across any of these. An op
+  /// whose work blocks hands it to offload(). Must be thread-safe against
+  /// other connections' handlers.
   using EnvelopeHandler =
       std::function<void(const proto::Envelope&, Connection&)>;
 
@@ -112,16 +100,14 @@ class Connection : public std::enable_shared_from_this<Connection> {
   /// Registers with the global reactor. Call once, after construction.
   void start();
 
-  /// Declares the ops the handler never blocks on (see EnvelopeHandler),
-  /// replacing the default {kMpiBatch}. Built-in ops only: codes from
-  /// kExtensionBase up always run on the strand. Set before start().
-  void set_non_blocking_ops(std::span<const proto::OpCode> ops);
+  /// Offloaded tasks in flight per connection before reads pause.
+  static constexpr std::size_t kMaxOffloads = 16;
 
   /// Registers a callback fired exactly once when the connection dies
   /// (remote failure or local close()), with the close reason. On remote
-  /// death it runs on the strand (after all delivered envelopes); on local
-  /// close() it runs on the closing thread. Set before start(); must not
-  /// block.
+  /// death it runs on the I/O thread, after every delivered envelope's
+  /// handler; on local close() it runs on the closing thread. Set before
+  /// start(); must not block.
   void set_on_close(std::function<void(const Status&)> on_close);
 
   /// Enables span export (kTraceExport) toward this peer: when a handler
@@ -158,8 +144,20 @@ class Connection : public std::enable_shared_from_this<Connection> {
   Status respond(const proto::Envelope& request, proto::OpCode op,
                  BytesView payload);
 
-  /// Closes the link, detaches from the reactor, quiesces the strand
-  /// (unless called from it) and fails pending calls on this thread.
+  /// Runs `work(request, *this)` on the process ThreadCache, off the I/O
+  /// thread: how a handler whose op blocks answers it. The task keeps the
+  /// connection alive (it must be owned by a ConnectionPtr), runs under the
+  /// trace context the handler ran under, and exports its spans of a
+  /// foreign trace as an inline handler's are. At kMaxOffloads tasks in
+  /// flight, reads pause until one finishes. The handle lets an owner wait
+  /// for the task before it dies.
+  ThreadCache::Handle offload(const proto::Envelope& request,
+                              EnvelopeHandler work);
+
+  /// Closes the link, detaches from the reactor (after which no handler
+  /// runs, unless close() is called from one) and fails pending calls on
+  /// this thread. Offloaded tasks may still be running; they hold the
+  /// connection.
   /// `reason` is recorded as the close reason (first cause wins) — pass why
   /// when the caller knows better than "closed locally" (e.g. heartbeat
   /// timeout).
@@ -181,7 +179,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
   tls::LinkStats link_stats() const { return link_->stats(); }
 
  private:
-  struct Strand;
   struct PendingCall {
     ReplyCallback done;
     net::Reactor::TimerId deadline = 0;
@@ -192,19 +189,15 @@ class Connection : public std::enable_shared_from_this<Connection> {
   void on_frame(BytesView frame);
   void on_stream_closed(const Status& reason);
 
-  /// Op codes from here up never run inline (kExtensionBase is above it).
-  static constexpr std::size_t kInlineOpLimit = 128;
-  bool non_blocking(proto::OpCode op) const;
-
-  /// Runs the strand: pops inbox envelopes and dispatches the handler,
-  /// lingering briefly when idle before the thread exits.
-  static void drain_loop(std::shared_ptr<Strand> strand);
-  void spawn_drainer();
-  /// Dedup + trace scope + handler (+ span-export collection). Runs on the
-  /// strand, or inline on the I/O thread (see EnvelopeHandler).
+  /// Dedup, then the handler under the envelope's trace context.
   void process_envelope(const proto::Envelope& envelope);
+  /// Runs `fn` with `context` as the thread's trace context, so spans it
+  /// opens parent across the hop. When span export is on and the trace is
+  /// foreign, the spans `fn` finishes are shipped back toward its origin.
+  template <typename Fn>
+  void run_traced(telemetry::TraceContext context, proto::OpCode op, Fn&& fn);
   void send_span_export(const std::vector<telemetry::SpanRecord>& spans);
-  void resume_reads();
+  void set_reads_paused(bool paused);
   /// Fires on_close exactly once across all close paths.
   void finalize_close();
 
@@ -226,8 +219,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
   net::ChannelPtr channel_;  // owned; link_ references it
   tls::MessageLinkPtr link_;
   EnvelopeHandler handler_;
-  std::bitset<kInlineOpLimit> non_blocking_;  // written before start()
-  std::shared_ptr<Strand> strand_;
   std::atomic<std::uint64_t> reactor_id_{0};  // 0 = not registered
   std::atomic<bool> alive_{true};
   std::atomic<bool> started_{false};
@@ -235,6 +226,10 @@ class Connection : public std::enable_shared_from_this<Connection> {
   std::atomic<bool> export_spans_{false};
   std::string exporter_site_;  // written before start()
   std::atomic<TimeMicros> last_activity_;
+  bool warned_malformed_ = false;  // only the I/O thread touches it
+
+  std::mutex offload_mutex_;
+  std::size_t offloads_ = 0;  // in flight; guarded by offload_mutex_
 
   std::mutex send_mutex_;
   Bytes send_buf_;  // guarded by send_mutex_

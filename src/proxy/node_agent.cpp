@@ -7,18 +7,6 @@
 
 namespace pg::proxy {
 
-namespace {
-/// Ops whose handlers never block: they run on the reactor I/O thread when
-/// the link's strand is idle. kTunnelData stays on the strand, since it
-/// runs a user service.
-constexpr proto::OpCode kInlineOps[] = {
-    proto::OpCode::kMpiOpen,    proto::OpCode::kMpiStart,
-    proto::OpCode::kMpiClose,   proto::OpCode::kMpiBatch,
-    proto::OpCode::kPing,       proto::OpCode::kTunnelOpen,
-    proto::OpCode::kTunnelClose,
-};
-}  // namespace
-
 // ---------------------------------------------------------------- App
 
 struct NodeAgent::App {
@@ -132,7 +120,6 @@ Result<std::unique_ptr<NodeAgent>> NodeAgent::create(NodeAgentConfig config,
   // proxy, which forwards them toward the trace origin (kTraceExport).
   agent->connection_->set_span_export(
       true, agent->config_.site + "/" + agent->config_.node_name);
-  agent->connection_->set_non_blocking_ops(kInlineOps);
   agent->connection_->start();
   return agent;
 }
@@ -153,7 +140,8 @@ void NodeAgent::shutdown() {
     app->runner.wait();
   }
   if (connection_) connection_->close();
-  // No handler runs any more, so no further cleanup gets deferred.
+  // No handler runs any more, so no further cleanup or service call gets
+  // handed off.
   std::vector<ThreadCache::Handle> cleanups;
   {
     std::lock_guard<std::mutex> lock(cleanups_mutex_);
@@ -168,15 +156,17 @@ void NodeAgent::after_runner(const ThreadCache::Handle& runner,
     if (cleanup) cleanup();
     return;
   }
-  ThreadCache::Handle deferred =
-      ThreadCache::run([runner, cleanup = std::move(cleanup)] {
-        runner.wait();
-        if (cleanup) cleanup();
-      });
+  track(ThreadCache::run([runner, cleanup = std::move(cleanup)] {
+    runner.wait();
+    if (cleanup) cleanup();
+  }));
+}
+
+void NodeAgent::track(ThreadCache::Handle task) {
   std::lock_guard<std::mutex> lock(cleanups_mutex_);
   std::erase_if(cleanups_,
                 [](const ThreadCache::Handle& done) { return done.done(); });
-  cleanups_.push_back(std::move(deferred));
+  cleanups_.push_back(std::move(task));
 }
 
 // ------------------------------------------------------------ dispatch
@@ -436,10 +426,17 @@ void NodeAgent::handle_tunnel_data(const proto::Envelope& envelope,
     }
     handler = services_[tunnel->second];
   }
-  const Bytes response = handler(data.value().payload);
-  (void)conn.respond(
-      envelope, proto::OpCode::kTunnelData,
-      proto::TunnelData{data.value().tunnel_id, response}.serialize());
+  // A user service may block or run long: it runs off the I/O thread, and
+  // shutdown() waits for it.
+  track(conn.offload(envelope, [handler = std::move(handler),
+                                call = data.take()](
+                                   const proto::Envelope& request,
+                                   Connection& source) {
+    const Bytes response = handler(call.payload);
+    (void)source.respond(
+        request, proto::OpCode::kTunnelData,
+        proto::TunnelData{call.tunnel_id, response}.serialize());
+  }));
 }
 
 void NodeAgent::handle_tunnel_close(const proto::Envelope& envelope) {

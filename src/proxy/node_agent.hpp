@@ -50,7 +50,9 @@ struct NodeAgentConfig {
   SenderWindowConfig window;
 };
 
-/// A local service reachable from remote nodes through proxy tunnels.
+/// A local service reachable from remote nodes through proxy tunnels. It
+/// runs on a ThreadCache thread and may block; calls through different
+/// tunnels may run at the same time.
 using ServiceHandler = std::function<Bytes(BytesView request)>;
 
 class NodeAgent {
@@ -80,7 +82,8 @@ class NodeAgent {
   Status ping(TimeMicros timeout = 5 * kMicrosPerSecond);
 
   /// Waits for every application runner, closes the proxy link and waits
-  /// for the app cleanups that were waiting on runners.
+  /// for the app cleanups that were waiting on runners and for the
+  /// service calls still running.
   void shutdown();
 
  private:
@@ -106,6 +109,8 @@ class NodeAgent {
   /// thread never waits for a runner. shutdown() waits for deferred ones.
   void after_runner(const ThreadCache::Handle& runner,
                     std::function<void()> cleanup);
+  /// Adds a handed-off task to the ones shutdown() waits for.
+  void track(ThreadCache::Handle task);
   /// Stops retrying the app's unacked frames.
   void drop_app_frames(std::uint64_t app_id);
 
@@ -137,7 +142,8 @@ class NodeAgent {
   std::map<std::uint64_t, std::shared_ptr<App>> apps_;
 
   std::mutex cleanups_mutex_;
-  std::vector<ThreadCache::Handle> cleanups_;  // deferred by after_runner
+  // Deferred by after_runner, and offloaded service calls.
+  std::vector<ThreadCache::Handle> cleanups_;
 
   std::mutex services_mutex_;
   std::map<std::string, ServiceHandler> services_;

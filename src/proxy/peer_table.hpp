@@ -5,9 +5,10 @@
 // shutdown sweep; the owner keeps handshakes and the per-kind purge, which
 // it runs from one down callback.
 //
-// Lock rule: no connection is closed under the table lock. close()
-// quiesces the connection's strand, and a strand mid-handler may itself be
-// waiting on the table (get/live).
+// Lock rule: no connection is closed under the table lock. close() waits
+// out the reactor's remove barrier, and a handler mid-dispatch on that I/O
+// thread may itself be waiting on the table (get/live); close() also fires
+// the down callback, which reads the table.
 #pragma once
 
 #include <atomic>
@@ -28,7 +29,8 @@ namespace pg::proxy {
 class PeerTable {
  public:
   /// Reaction to a lost link, called after the close accounting (on the
-  /// closing thread or the link's strand) unless stop() ran first.
+  /// closing thread, or on the link's reactor I/O thread when the peer went
+  /// away) unless stop() ran first. Must not block.
   using DownHandler = std::function<void(const BatchLink&, const Status&)>;
 
   /// `site` labels disconnects. With `heartbeat_interval` > 0, a reactor

@@ -56,23 +56,6 @@ SenderWindowConfig window_config(const ProxyConfig& config) {
   return window;
 }
 
-/// Ops whose handlers never block, on site and node links alike: they run
-/// on the reactor I/O thread when the connection's strand is idle
-/// (docs/PERFORMANCE.md, "Inline control path"). Left on the strand:
-/// kAuthRequest (a password login's salted stretch, ~170 us of CPU, would
-/// stall every connection sharing the I/O thread; a signature login costs
-/// an RSA verify, not a sign), kJobSubmit and kJobQuery, and extension
-/// ops, which may block.
-constexpr proto::OpCode kInlineOps[] = {
-    proto::OpCode::kHello,        proto::OpCode::kPing,
-    proto::OpCode::kHeartbeat,    proto::OpCode::kStatusQuery,
-    proto::OpCode::kStatusReport, proto::OpCode::kShardStatus,
-    proto::OpCode::kMpiOpen,      proto::OpCode::kMpiStart,
-    proto::OpCode::kMpiDone,      proto::OpCode::kMpiAbort,
-    proto::OpCode::kMpiClose,     proto::OpCode::kMpiBatch,
-    proto::OpCode::kTunnelOpen,   proto::OpCode::kTunnelData,
-    proto::OpCode::kTunnelClose,  proto::OpCode::kTraceExport,
-};
 }  // namespace
 
 ProxyServer::ProxyServer(ProxyConfig config)
@@ -176,7 +159,6 @@ Status ProxyServer::attach_node(const std::string& node_name,
       [this, key](const proto::Envelope& env, Connection& c) {
         handle_link(key, env, c);
       });
-  conn->set_non_blocking_ops(kInlineOps);
   return links_.add(key, std::move(conn));
 }
 
@@ -192,7 +174,6 @@ Status ProxyServer::connect_peer(const std::string& peer_site,
       [this, key](const proto::Envelope& env, Connection& c) {
         handle_link(key, env, c);
       });
-  conn->set_non_blocking_ops(kInlineOps);
   // Handler spans finished for traces the peer's side originated flow back
   // over this link, so the origin proxy renders the whole grid operation
   // as one connected trace.
@@ -831,17 +812,25 @@ void ProxyServer::handle_status_query(const proto::Envelope& envelope,
 
 void ProxyServer::handle_auth_request(const proto::Envelope& envelope,
                                       Connection& conn) {
-  Result<proto::AuthRequest> request =
-      proto::AuthRequest::parse(envelope.payload);
-  proto::AuthResponse response;
-  if (!request.is_ok()) {
-    response.ok = false;
-    response.reason = request.status().to_string();
-  } else {
-    response = login(request.value());
-  }
-  (void)conn.respond(envelope, proto::OpCode::kAuthResponse,
-                     response.serialize());
+  // A password login's salted stretch (~170 us of CPU) would stall every
+  // connection sharing the I/O thread, so it runs off it. shutdown() waits
+  // for the task.
+  begin_task();
+  conn.offload(envelope, [this](const proto::Envelope& request,
+                                Connection& source) {
+    Result<proto::AuthRequest> parsed =
+        proto::AuthRequest::parse(request.payload);
+    proto::AuthResponse response;
+    if (!parsed.is_ok()) {
+      response.ok = false;
+      response.reason = parsed.status().to_string();
+    } else {
+      response = login(parsed.value());
+    }
+    (void)source.respond(request, proto::OpCode::kAuthResponse,
+                         response.serialize());
+    end_task();
+  });
 }
 
 void ProxyServer::handle_mpi_open_from_peer(const proto::Envelope& envelope,
@@ -1380,10 +1369,7 @@ void ProxyServer::call_with_retry(const BatchLink& link, proto::OpCode op,
       std::hash<std::string>{}(link.name) ^ static_cast<std::uint64_t>(op);
   call->trace = telemetry::Tracer::current();
   call->done = std::move(done);
-  {
-    std::lock_guard<std::mutex> lock(retry_mutex_);
-    ++retries_in_flight_;
-  }
+  begin_task();
   retry_attempt(call);
 }
 
@@ -1442,9 +1428,18 @@ void ProxyServer::retry_failed(const std::shared_ptr<RetryCall>& call) {
 void ProxyServer::retry_done(const std::shared_ptr<RetryCall>& call,
                              Result<proto::Envelope> result) {
   call->done(std::move(result));
+  end_task();
+}
+
+void ProxyServer::begin_task() {
+  std::lock_guard<std::mutex> lock(tasks_mutex_);
+  ++tasks_in_flight_;
+}
+
+void ProxyServer::end_task() {
   // Last touch of the proxy: shutdown() may return once the count is 0.
-  std::lock_guard<std::mutex> lock(retry_mutex_);
-  if (--retries_in_flight_ == 0) retry_idle_.notify_all();
+  std::lock_guard<std::mutex> lock(tasks_mutex_);
+  if (--tasks_in_flight_ == 0) tasks_idle_.notify_all();
 }
 
 Result<proto::Envelope> ProxyServer::call_peer(const std::string& site,
@@ -1596,10 +1591,12 @@ void ProxyServer::shutdown() {
   job_workers_.shutdown();
   // Closing the links failed every attempt in flight and a retry chain
   // gives up once the proxy is shut down, so each chain ends by its next
-  // backoff; one may still be finishing on a reactor thread.
+  // backoff; one may still be finishing on a reactor thread. No handler
+  // runs any more, so no login gets offloaded after this; one already
+  // offloaded finishes its stretch.
   {
-    std::unique_lock<std::mutex> lock(retry_mutex_);
-    retry_idle_.wait(lock, [this] { return retries_in_flight_ == 0; });
+    std::unique_lock<std::mutex> lock(tasks_mutex_);
+    tasks_idle_.wait(lock, [this] { return tasks_in_flight_ == 0; });
   }
   runs_cv_.notify_all();
 }

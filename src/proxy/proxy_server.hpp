@@ -268,7 +268,9 @@ class ProxyServer {
 
   // ---- protocol extension -------------------------------------------------
   /// Handler for an extension op: receives the envelope and the connection
-  /// it arrived on (so it can respond, typically with kReply).
+  /// it arrived on (so it can respond, typically with kReply). Runs on the
+  /// reactor I/O thread and must not block (see Connection::EnvelopeHandler):
+  /// work that waits answers from a continuation or Connection::offload().
   using ExtensionHandler =
       std::function<Status(const proto::Envelope&, Connection&)>;
 
@@ -312,8 +314,8 @@ class ProxyServer {
     std::uint32_t exit_code = 0;
   };
 
-  // -- handlers (none of them blocks; all but auth, job and extension ops
-  // run inline on the reactor I/O thread, the rest on connection strands)
+  // -- handlers (all run on the reactor I/O thread and none blocks; a
+  // peer's login offloads its stretch)
   /// Entry point of every link: the data-plane ops every link carries
   /// alike, then the per-kind control dispatch below.
   void handle_link(const BatchLink& link, const proto::Envelope& envelope,
@@ -393,9 +395,15 @@ class ProxyServer {
   void retry_failed(const std::shared_ptr<RetryCall>& call);
   void retry_done(const std::shared_ptr<RetryCall>& call,
                   Result<proto::Envelope> result);
+  /// Count a retry chain or offloaded login in and out; shutdown() waits
+  /// until none is left.
+  void begin_task();
+  void end_task();
   /// PeerTable down callbacks, after its close accounting (also the
   /// heartbeat verdict path). Purge all state that referenced the peer or
-  /// node so nothing waits on a corpse.
+  /// node so nothing waits on a corpse. A remote close runs them on the
+  /// reactor I/O thread, so neither waits: they take short locks, fail
+  /// runs through runs_cv_ and send only notifies.
   void on_peer_down(const std::string& site, const Status& reason);
   void on_node_down(const std::string& node, const Status& reason);
 
@@ -471,11 +479,12 @@ class ProxyServer {
   std::unordered_map<std::uint64_t, std::string> trace_routes_;
   std::deque<std::uint64_t> trace_routes_order_;
 
-  // Retry chains not finished yet. shutdown() waits for none, so no
-  // continuation or backoff timer outlives the proxy.
-  std::mutex retry_mutex_;
-  std::condition_variable retry_idle_;
-  std::size_t retries_in_flight_ = 0;
+  // Retry chains and offloaded logins not finished yet. shutdown() waits
+  // for none, so no continuation, backoff timer or login outlives the
+  // proxy.
+  std::mutex tasks_mutex_;
+  std::condition_variable tasks_idle_;
+  std::size_t tasks_in_flight_ = 0;
 
   std::atomic<bool> shut_down_{false};
 

@@ -3,7 +3,8 @@
 // ReliableBatchReceiver over a live connection), PeerTable (the link table:
 // insert rules, close accounting, heartbeat liveness), AppRouting
 // (virtual-slave tables), the inline control path (node-agent app
-// teardown, a launch's dispatch paths) and the per-login latency histogram.
+// teardown, offloaded tunnel services) and logins (the latency histogram,
+// offloaded remote logins: their trace and shutdown).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "grid/grid.hpp"
 #include "mpi/runtime.hpp"
 #include "net/memory_channel.hpp"
+#include "net/reactor.hpp"
 #include "proto/messages.hpp"
 #include "proxy/app_routing.hpp"
 #include "proxy/connection.hpp"
@@ -173,13 +175,38 @@ TEST(Connection, SendAfterCloseFails) {
 }
 
 TEST(Connection, MalformedEnvelopeIsDroppedNotFatal) {
-  ConnPair pair = make_conn_pair(null_handler(), echo_handler());
-  // Inject garbage directly as a frame; the reader must skip it and keep
-  // serving calls afterwards.
-  // (Reach the raw channel through a fresh plaintext frame.)
-  // The link is owned by the connection, so craft another message after.
-  Result<proto::Envelope> before = pair.a->call(proto::OpCode::kPing, {});
-  ASSERT_TRUE(before.is_ok());
+  // 100 frames that are not envelopes are counted and dropped, and the
+  // connection keeps serving calls behind them.
+  net::ChannelPair channels = net::make_memory_channel_pair();
+  net::Channel& raw_a = *channels.a;
+  auto link_a = tls::make_plain_link(*channels.a);
+  auto link_b = tls::make_plain_link(*channels.b);
+  ConnectionPtr a =
+      std::make_shared<Connection>("peer-b", std::move(channels.a),
+                                   std::move(link_a), true, null_handler());
+  ConnectionPtr b = std::make_shared<Connection>(
+      "peer-a", std::move(channels.b), std::move(link_b), false,
+      echo_handler());
+  a->start();
+  b->start();
+  // A second framer on a's channel writes well-framed garbage: the frames
+  // decode, the envelopes inside them do not (bad protocol version).
+  tls::MessageLinkPtr garbage = tls::make_plain_link(raw_a);
+  telemetry::Counter& malformed = telemetry::MetricRegistry::global().counter(
+      "pg_connection_malformed_envelopes_total");
+  const std::uint64_t before = malformed.value();
+  for (int i = 0; i < 100; ++i) {
+    const Bytes junk = {0xee, static_cast<std::uint8_t>(i), 0x01};
+    ASSERT_TRUE(garbage->send(junk).is_ok());
+  }
+  // The call's envelope follows the garbage on the same byte stream, so
+  // every junk frame was handled once its answer is back.
+  const Result<proto::Envelope> response =
+      a->call(proto::OpCode::kPing, to_bytes("still-alive"));
+  ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+  EXPECT_EQ(to_string(response.value().payload), "still-alive");
+  EXPECT_EQ(malformed.value() - before, 100u);
+  EXPECT_TRUE(b->alive());
 }
 
 /// Polls `done` for up to two seconds.
@@ -1053,37 +1080,63 @@ TEST(NodeAgentInline, ShutdownWaitsForDeferredCleanup) {
   releaser.join();
 }
 
-TEST(InlineControl, TwoSiteLaunchDispatchesNoControlOpOnAStrand) {
-  register_test_apps();
-  grid::GridBuilder builder;
-  builder.seed(19).key_bits(768);
-  builder.add_nodes("siteA", 2);
-  builder.add_nodes("siteB", 2);
-  builder.add_user("alice", "correct-horse", {"mpi.run", "status.query"});
-  Result<std::unique_ptr<grid::Grid>> built = builder.build();
-  ASSERT_TRUE(built.is_ok()) << built.status().to_string();
-  std::unique_ptr<grid::Grid> grid = built.take();
-  Result<Bytes> token = grid->login("siteA", "alice", "correct-horse");
-  ASSERT_TRUE(token.is_ok()) << token.status().to_string();
+TEST(NodeAgentInline, ShutdownWaitsForRunningTunnelService) {
+  AgentHarness harness("inline-service");
+  ASSERT_NE(harness.agent, nullptr);
+  // A service that blocks until released: it runs off the I/O thread, and
+  // shutdown() must not return while it still runs.
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool entered = false;
+  bool released = false;
+  bool left = false;
+  harness.agent->register_service("slow", [&](BytesView request) {
+    std::unique_lock<std::mutex> lock(mutex);
+    entered = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return released; });
+    left = true;
+    return Bytes(request.begin(), request.end());
+  });
+  constexpr std::uint64_t kTunnel = 5;
+  const Result<proto::Envelope> opened = harness.proxy->call(
+      proto::OpCode::kTunnelOpen,
+      proto::TunnelOpen{kTunnel, harness.site, "n0", "slow"}.serialize(),
+      5 * kMicrosPerSecond);
+  ASSERT_TRUE(opened.is_ok()) << opened.status().to_string();
+  ASSERT_EQ(opened.value().op, proto::OpCode::kTunnelData);
+  const Bytes request = proto::TunnelData{kTunnel, to_bytes("x")}.serialize();
+  ASSERT_TRUE(harness.proxy
+                  ->notify(proto::OpCode::kTunnelData, request,
+                           harness.proxy->allocate_request_id())
+                  .is_ok());
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return entered; }));
+  }
+  // The I/O thread is free while the service runs: a ping is answered.
+  EXPECT_TRUE(harness.proxy->call(proto::OpCode::kPing, {},
+                                  2 * kMicrosPerSecond)
+                  .is_ok());
 
-  auto dispatches = [](const char* path) {
-    return telemetry::MetricRegistry::global()
-        .counter("pg_connection_dispatch_total", "", {{"path", path}})
-        .value();
-  };
-  const std::uint64_t strand_before = dispatches("strand");
-  const std::uint64_t inline_before = dispatches("inline");
-  const AppRunResult result =
-      grid->run_app("siteA", "alice", token.value(), "proxy_test.noop", 4,
-                    grid::SchedulerPolicy::kRoundRobin);
-  ASSERT_TRUE(result.status.is_ok()) << result.status.to_string();
-  std::set<std::string> sites;
-  for (const proto::RankPlacement& p : result.placements) sites.insert(p.site);
-  EXPECT_EQ(sites.size(), 2u);
-
-  // Status queries, opens, starts, dones and closes on site and node links.
-  EXPECT_EQ(dispatches("strand") - strand_before, 0u);
-  EXPECT_GE(dispatches("inline") - inline_before, 10u);
+  std::atomic<bool> returned{false};
+  bool left_at_return = false;
+  std::thread stopper([&] {
+    harness.agent->shutdown();
+    std::lock_guard<std::mutex> lock(mutex);
+    left_at_return = left;
+    returned = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(returned.load()) << "shutdown() left a service running";
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    released = true;
+    cv.notify_all();
+  }
+  stopper.join();
+  EXPECT_TRUE(left_at_return);
 }
 
 TEST(ProxyLogin, EveryLoginObservesLoginMicros) {
@@ -1106,6 +1159,128 @@ TEST(ProxyLogin, EveryLoginObservesLoginMicros) {
   const telemetry::Histogram::Snapshot after = login_micros.snapshot();
   EXPECT_EQ(after.count - before.count, 2u);
   EXPECT_GT(after.sum, before.sum);
+}
+
+std::unique_ptr<grid::Grid> two_site_login_grid(
+    std::uint64_t seed, std::function<void(ProxyConfig&)> configure = {}) {
+  grid::GridBuilder builder;
+  builder.seed(seed).key_bits(768);
+  builder.add_nodes("siteA", 1);
+  builder.add_nodes("siteB", 1);
+  builder.add_user("alice", "correct-horse", {"status.query"});
+  if (configure) builder.configure_proxy(std::move(configure));
+  Result<std::unique_ptr<grid::Grid>> built = builder.build();
+  EXPECT_TRUE(built.is_ok()) << built.status().to_string();
+  return built.is_ok() ? built.take() : nullptr;
+}
+
+proto::AuthRequest alice_login() {
+  proto::AuthRequest request;
+  request.user = "alice";
+  request.credential = to_bytes("correct-horse");
+  return request;
+}
+
+TEST(ProxyLogin, CrossSiteLoginTraceHoldsRemoteLoginSpan) {
+  // siteB runs the login off its I/O thread; the offloaded task still
+  // joins the caller's trace, under the span of the hop that carried it.
+  std::unique_ptr<grid::Grid> grid = two_site_login_grid(22);
+  ASSERT_NE(grid, nullptr);
+  telemetry::Tracer& tracer = telemetry::Tracer::global();
+  telemetry::Span session = tracer.start_span("test.cross_site_login");
+  const std::uint64_t trace_id = session.context().trace_id;
+  const Result<proto::AuthResponse> response =
+      grid->proxy("siteA").login_at("siteB", alice_login());
+  ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+  EXPECT_TRUE(response.value().ok) << response.value().reason;
+  session.end();
+
+  const std::vector<telemetry::SpanRecord> spans = tracer.trace(trace_id);
+  std::set<std::uint64_t> ids;
+  for (const telemetry::SpanRecord& span : spans) ids.insert(span.span_id);
+  const auto remote_login =
+      std::find_if(spans.begin(), spans.end(), [](const auto& span) {
+        return span.name == "proxy.login" && span.component == "siteB";
+      });
+  ASSERT_NE(remote_login, spans.end()) << "remote login span missing";
+  EXPECT_EQ(ids.count(remote_login->parent_span_id), 1u)
+      << "remote login span is orphaned";
+}
+
+/// A wall clock that holds a caller off the reactor's I/O threads while
+/// it runs under `gated_trace`, until release(): it stalls an offloaded
+/// login inside its stretch.
+class GatedClock final : public Clock {
+ public:
+  TimeMicros now() const override {
+    const std::uint64_t gated = gated_trace.load();
+    if (gated != 0 && !net::Reactor::on_io_thread() &&
+        telemetry::Tracer::current().trace_id == gated) {
+      std::unique_lock<std::mutex> lock(mutex_);
+      entered_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return released_; });
+    }
+    return wall_.now();
+  }
+  bool wait_entered() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [this] { return entered_; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+  std::atomic<std::uint64_t> gated_trace{0};
+
+ private:
+  WallClock wall_;
+  mutable std::mutex mutex_;
+  mutable std::condition_variable cv_;
+  mutable bool entered_ = false;
+  bool released_ = false;
+};
+
+TEST(ProxyLogin, ShutdownWaitsForOffloadedRemoteLogin) {
+  GatedClock clock;
+  std::unique_ptr<grid::Grid> grid =
+      two_site_login_grid(23, [&clock](ProxyConfig& config) {
+        if (config.site == "siteB") config.clock = &clock;
+      });
+  ASSERT_NE(grid, nullptr);
+  telemetry::Histogram& login_micros =
+      telemetry::MetricRegistry::global().histogram(
+          "pg_proxy_login_micros", "", telemetry::duration_buckets_micros(),
+          {{"site", "siteB"}});
+  const std::uint64_t logins_before = login_micros.snapshot().count;
+
+  telemetry::Span session =
+      telemetry::Tracer::global().start_span("test.held_login");
+  clock.gated_trace = session.context().trace_id;
+  std::thread caller([&grid, context = session.context()] {
+    telemetry::ScopedTraceContext scope(context);
+    // Fails once siteB is gone; only siteB's side is under test.
+    (void)grid->proxy("siteA").login_at("siteB", alice_login());
+  });
+  ASSERT_TRUE(clock.wait_entered());
+
+  std::atomic<bool> returned{false};
+  std::uint64_t logins_at_return = 0;
+  std::thread stopper([&] {
+    grid->proxy("siteB").shutdown();
+    logins_at_return = login_micros.snapshot().count;
+    returned = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(returned.load()) << "shutdown() left a login running";
+  clock.release();
+  stopper.join();
+  // The held login finished, and was observed, before shutdown returned.
+  EXPECT_EQ(logins_at_return - logins_before, 1u);
+  caller.join();
 }
 
 }  // namespace

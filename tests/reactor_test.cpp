@@ -1,14 +1,17 @@
 // Tests for the event-driven proxy core: the epoll reactor (partial-frame
-// reassembly, write backpressure, mid-read death, timers, connection churn)
-// and the span-export hop riding on it.
+// reassembly, write backpressure, mid-read death, timers, connection churn),
+// Connection's one dispatch path with its offload for blocking ops, and
+// the span-export hop riding on it.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <fstream>
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -293,12 +296,9 @@ struct ConnPair {
   ConnectionPtr b;
 };
 
-/// `non_blocking`, when set, is declared on both ends before they start.
-ConnPair make_pair(Connection::EnvelopeHandler handler_a,
-                   Connection::EnvelopeHandler handler_b,
-                   bool export_from_b = false,
-                   std::optional<std::vector<proto::OpCode>> non_blocking =
-                       std::nullopt) {
+ConnPair connect_pair(Connection::EnvelopeHandler handler_a,
+                      Connection::EnvelopeHandler handler_b,
+                      bool export_from_b = false) {
   net::ChannelPair channels = net::make_memory_channel_pair();
   auto chan_a = std::move(channels.a);
   auto chan_b = std::move(channels.b);
@@ -312,10 +312,6 @@ ConnPair make_pair(Connection::EnvelopeHandler handler_a,
                                        std::move(link_b), false,
                                        std::move(handler_b));
   if (export_from_b) out.b->set_span_export(true, "site-b");
-  if (non_blocking) {
-    out.a->set_non_blocking_ops(*non_blocking);
-    out.b->set_non_blocking_ops(*non_blocking);
-  }
   out.a->start();
   out.b->start();
   return out;
@@ -331,7 +327,7 @@ TEST(ReactorConnection, ChurnThousandConnections) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&ok] {
       for (int i = 0; i < kPerThread; ++i) {
-        ConnPair pair = make_pair(
+        ConnPair pair = connect_pair(
             [](const proto::Envelope&, Connection&) {},
             [](const proto::Envelope& env, Connection& conn) {
               if (env.op == proto::OpCode::kPing)
@@ -344,7 +340,7 @@ TEST(ReactorConnection, ChurnThousandConnections) {
             to_string(response.value().payload) == "churn") {
           ok.fetch_add(1);
         }
-        // Destructors close both ends: strand quiesce + reactor detach.
+        // Destructors close both ends: reactor detach.
       }
     });
   }
@@ -362,7 +358,7 @@ TEST(ReactorConnection, ExportsSpansOfForeignTraces) {
   std::condition_variable cv;
   std::vector<proto::TraceExport> exports;
 
-  ConnPair pair = make_pair(
+  ConnPair pair = connect_pair(
       [&](const proto::Envelope& env, Connection&) {
         if (env.op != proto::OpCode::kTraceExport) return;
         Result<proto::TraceExport> parsed =
@@ -404,7 +400,7 @@ TEST(ReactorConnection, OwnTracesAreNotExported) {
   std::condition_variable cv;
   bool pinged = false;
 
-  ConnPair pair = make_pair(
+  ConnPair pair = connect_pair(
       [&](const proto::Envelope& env, Connection&) {
         if (env.op == proto::OpCode::kTraceExport) export_count.fetch_add(1);
       },
@@ -432,95 +428,6 @@ TEST(ReactorConnection, OwnTracesAreNotExported) {
   }
   std::this_thread::sleep_for(50ms);  // give a stray export time to arrive
   EXPECT_EQ(export_count.load(), 0);
-}
-
-TEST(ReactorConnection, DataOpsRunInlineOnIdleStrandAndQueueBehindWork) {
-  struct Event {
-    proto::OpCode op;
-    bool on_io_thread;
-  };
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::vector<Event> events;
-  bool release_ping = false;
-
-  ConnPair pair = make_pair(
-      [](const proto::Envelope&, Connection&) {},
-      [&](const proto::Envelope& env, Connection&) {
-        std::unique_lock<std::mutex> lock(mutex);
-        events.push_back({env.op, net::Reactor::on_io_thread()});
-        cv.notify_all();
-        if (env.op == proto::OpCode::kPing)
-          cv.wait(lock, [&] { return release_ping; });
-      });
-  const auto wait_events = [&](std::size_t n) {
-    std::unique_lock<std::mutex> lock(mutex);
-    return cv.wait_for(lock, 10s, [&] { return events.size() >= n; });
-  };
-
-  // Idle strand: the batch runs to completion on the I/O thread.
-  ASSERT_TRUE(pair.a->notify(proto::OpCode::kMpiBatch, {}).is_ok());
-  ASSERT_TRUE(wait_events(1));
-
-  // A control envelope holds the strand; a batch arriving meanwhile must
-  // wait its turn instead of overtaking it inline.
-  ASSERT_TRUE(pair.a->notify(proto::OpCode::kPing, {}).is_ok());
-  ASSERT_TRUE(wait_events(2));
-  ASSERT_TRUE(pair.a->notify(proto::OpCode::kMpiBatch, {}).is_ok());
-  std::this_thread::sleep_for(30ms);
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    EXPECT_EQ(events.size(), 2u) << "batch overtook the busy strand";
-    release_ping = true;
-    cv.notify_all();
-  }
-  ASSERT_TRUE(wait_events(3));
-
-  std::lock_guard<std::mutex> lock(mutex);
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].op, proto::OpCode::kMpiBatch);
-  EXPECT_TRUE(events[0].on_io_thread);
-  EXPECT_EQ(events[1].op, proto::OpCode::kPing);
-  EXPECT_FALSE(events[1].on_io_thread);
-  EXPECT_EQ(events[2].op, proto::OpCode::kMpiBatch);
-  EXPECT_FALSE(events[2].on_io_thread);
-}
-
-TEST(ReactorConnection, AckRunsInlineWhileStrandIsBusy) {
-  // Applying an ack commutes with everything else on the connection, so a
-  // kMpiBatchAck does not wait for a control handler holding the strand.
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool in_ping = false;
-  bool release_ping = false;
-  bool acked = false;
-  bool ack_on_io_thread = false;
-  ConnPair pair = make_pair(
-      [](const proto::Envelope&, Connection&) {},
-      [&](const proto::Envelope& env, Connection&) {
-        std::unique_lock<std::mutex> lock(mutex);
-        if (env.op == proto::OpCode::kPing) {
-          in_ping = true;
-          cv.notify_all();
-          cv.wait(lock, [&] { return release_ping; });
-        } else if (env.op == proto::OpCode::kMpiBatchAck) {
-          acked = true;
-          ack_on_io_thread = net::Reactor::on_io_thread();
-          cv.notify_all();
-        }
-      });
-  ASSERT_TRUE(pair.a->notify(proto::OpCode::kPing, {}).is_ok());
-  {
-    std::unique_lock<std::mutex> lock(mutex);
-    ASSERT_TRUE(cv.wait_for(lock, 10s, [&] { return in_ping; }));
-  }
-  ASSERT_TRUE(pair.a->notify(proto::OpCode::kMpiBatchAck, {}).is_ok());
-  std::unique_lock<std::mutex> lock(mutex);
-  EXPECT_TRUE(cv.wait_for(lock, 10s, [&] { return acked; }))
-      << "ack waited for the busy strand";
-  EXPECT_TRUE(ack_on_io_thread);
-  release_ping = true;
-  cv.notify_all();
 }
 
 TEST(ReactorConnection, InlineSendNeverWaitsOnFullTcpQueue) {
@@ -562,7 +469,7 @@ TEST(ReactorConnection, InlineSendNeverWaitsOnFullTcpQueue) {
   bool done = false;
   bool sent = false;
   bool inline_run = false;
-  ConnPair pair = make_pair(
+  ConnPair pair = connect_pair(
       [](const proto::Envelope&, Connection&) {},
       [&](const proto::Envelope& env, Connection&) {
         if (env.op != proto::OpCode::kMpiBatch) return;
@@ -589,15 +496,11 @@ TEST(ReactorConnection, InlineSendNeverWaitsOnFullTcpQueue) {
   never_read->close();
 }
 
-/// Handler dispatches so far on one path ("inline" or "strand").
-std::uint64_t dispatches(const char* path) {
-  return telemetry::MetricRegistry::global()
-      .counter("pg_connection_dispatch_total", "", {{"path", path}})
-      .value();
-}
-
-/// Records which ops a handler saw and whether it ran on an I/O thread;
-/// a handler may hold `blocker` until release().
+/// Records which ops a handler saw and whether it ran on an I/O thread.
+/// kJobSubmit stands in for an op that blocks: it is offloaded, and the
+/// task waits for a permit from release(). The op in `hold`, if any, waits
+/// for a permit inline, holding the I/O thread. Owns the tasks it offloaded
+/// and waits for them when it dies, so declare it before the connections.
 struct DispatchLog {
   struct Event {
     proto::OpCode op;
@@ -606,90 +509,334 @@ struct DispatchLog {
   std::mutex mutex;
   std::condition_variable cv;
   std::vector<Event> events;
-  std::optional<proto::OpCode> blocker;
-  bool released = false;
+  int started = 0;  // offloaded tasks that began
+  int permits = 0;
+  std::vector<ThreadCache::Handle> tasks;
+  std::optional<proto::OpCode> hold;
 
   DispatchLog() = default;
   DispatchLog(const DispatchLog&) = delete;
   DispatchLog& operator=(const DispatchLog&) = delete;
+  ~DispatchLog() {
+    release(1 << 20);
+    std::vector<ThreadCache::Handle> pending;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      pending.swap(tasks);
+    }
+    for (const ThreadCache::Handle& task : pending) task.wait();
+  }
 
   Connection::EnvelopeHandler handler() {
-    return [this](const proto::Envelope& env, Connection&) {
+    return [this](const proto::Envelope& env, Connection& conn) {
       std::unique_lock<std::mutex> lock(mutex);
       events.push_back({env.op, net::Reactor::on_io_thread()});
       cv.notify_all();
-      if (blocker == env.op) cv.wait(lock, [this] { return released; });
+      if (hold == env.op) {
+        cv.wait(lock, [this] { return permits > 0; });
+        --permits;
+      }
+      if (env.op == proto::OpCode::kPing) {
+        lock.unlock();
+        (void)conn.respond(env, proto::OpCode::kPong, {});
+      } else if (env.op == proto::OpCode::kJobSubmit) {
+        lock.unlock();
+        ThreadCache::Handle task =
+            conn.offload(env, [this](const proto::Envelope&, Connection&) {
+              std::unique_lock<std::mutex> inner(mutex);
+              ++started;
+              cv.notify_all();
+              cv.wait(inner, [this] { return permits > 0; });
+              --permits;
+            });
+        lock.lock();
+        tasks.push_back(std::move(task));
+      }
     };
   }
   bool wait_events(std::size_t n) {
     std::unique_lock<std::mutex> lock(mutex);
     return cv.wait_for(lock, 10s, [&] { return events.size() >= n; });
   }
-  void release() {
+  bool wait_started(int n) {
+    std::unique_lock<std::mutex> lock(mutex);
+    return cv.wait_for(lock, 10s, [&] { return started >= n; });
+  }
+  void release(int n) {
     std::lock_guard<std::mutex> lock(mutex);
-    released = true;
+    permits += n;
     cv.notify_all();
   }
 };
 
-TEST(ReactorConnection, DeclaredControlOpRunsInlineOnIdleStrand) {
+TEST(ReactorConnection, EveryOpRunsInlineInReceiveOrder) {
+  // No op is declared anywhere: data, control, job and extension ops all
+  // run on the I/O thread, one after another in receive order.
   DispatchLog log;
-  ConnPair pair = make_pair([](const proto::Envelope&, Connection&) {},
-                            log.handler(), false,
-                            std::vector<proto::OpCode>{proto::OpCode::kPing});
-  const std::uint64_t inline_before = dispatches("inline");
-  const std::uint64_t strand_before = dispatches("strand");
-  ASSERT_TRUE(pair.a->notify(proto::OpCode::kPing, {}).is_ok());
-  ASSERT_TRUE(log.wait_events(1));
+  ConnPair pair =
+      connect_pair([](const proto::Envelope&, Connection&) {}, log.handler());
+  const std::vector<proto::OpCode> ops = {
+      proto::OpCode::kMpiBatch, proto::OpCode::kHeartbeat,
+      proto::OpCode::kJobQuery, proto::OpCode::kExtensionBase,
+      proto::OpCode::kMpiBatch};
+  for (const proto::OpCode op : ops)
+    ASSERT_TRUE(pair.a->notify(op, {}).is_ok());
+  ASSERT_TRUE(log.wait_events(ops.size()));
   std::lock_guard<std::mutex> lock(log.mutex);
-  EXPECT_EQ(log.events[0].op, proto::OpCode::kPing);
-  EXPECT_TRUE(log.events[0].on_io_thread);
-  EXPECT_GE(dispatches("inline"), inline_before + 1);
-  EXPECT_EQ(dispatches("strand"), strand_before);
+  ASSERT_EQ(log.events.size(), ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    EXPECT_EQ(log.events[i].op, ops[i]) << i;
+    EXPECT_TRUE(log.events[i].on_io_thread) << i;
+  }
 }
 
-TEST(ReactorConnection, UndeclaredOpStillRunsOnStrand) {
+TEST(ReactorConnection, AckAndPingRunWhileOffloadIsBlocked) {
+  // An offloaded op holds no place in line: an ack and a ping behind it on
+  // the same connection are handled at once, on the I/O thread.
   DispatchLog log;
-  ConnPair pair = make_pair([](const proto::Envelope&, Connection&) {},
-                            log.handler(), false,
-                            std::vector<proto::OpCode>{proto::OpCode::kPing});
-  const std::uint64_t strand_before = dispatches("strand");
+  ConnPair pair =
+      connect_pair([](const proto::Envelope&, Connection&) {}, log.handler());
   ASSERT_TRUE(pair.a->notify(proto::OpCode::kJobSubmit, {}).is_ok());
+  ASSERT_TRUE(log.wait_started(1));
+  ASSERT_TRUE(pair.a->notify(proto::OpCode::kMpiBatchAck, {}).is_ok());
+  const Result<proto::Envelope> pong =
+      pair.a->call(proto::OpCode::kPing, {}, 10 * kMicrosPerSecond);
+  ASSERT_TRUE(pong.is_ok()) << pong.status().to_string();
+  {
+    std::lock_guard<std::mutex> lock(log.mutex);
+    ASSERT_EQ(log.events.size(), 3u);
+    EXPECT_EQ(log.events[0].op, proto::OpCode::kJobSubmit);
+    EXPECT_EQ(log.events[1].op, proto::OpCode::kMpiBatchAck);
+    EXPECT_EQ(log.events[2].op, proto::OpCode::kPing);
+    for (const DispatchLog::Event& event : log.events)
+      EXPECT_TRUE(event.on_io_thread);
+    ASSERT_EQ(log.tasks.size(), 1u);
+    EXPECT_FALSE(log.tasks[0].done()) << "the offloaded op did not block";
+  }
+  log.release(1);
+}
+
+/// Releases an inline hold before the pair closes, on every exit path;
+/// declare it after the connections.
+struct ReleaseOnExit {
+  DispatchLog& log;
+  ~ReleaseOnExit() { log.release(1 << 20); }
+};
+
+// The connection's strand is its one line of handlers, run in receive order
+// on its I/O thread; it is busy while a handler has not returned.
+
+TEST(ReactorConnection, DataOpsRunInlineOnIdleStrandAndQueueBehindWork) {
+  DispatchLog log;
+  log.hold = proto::OpCode::kHeartbeat;
+  ConnPair pair =
+      connect_pair([](const proto::Envelope&, Connection&) {}, log.handler());
+  ReleaseOnExit release_on_exit{log};
+
+  // Idle strand: the batch runs to completion on the I/O thread.
+  ASSERT_TRUE(pair.a->notify(proto::OpCode::kMpiBatch, {}).is_ok());
   ASSERT_TRUE(log.wait_events(1));
+
+  // A control handler holds the strand; a batch arriving meanwhile must
+  // wait its turn instead of overtaking it.
+  ASSERT_TRUE(pair.a->notify(proto::OpCode::kHeartbeat, {}).is_ok());
+  ASSERT_TRUE(log.wait_events(2));
+  ASSERT_TRUE(pair.a->notify(proto::OpCode::kMpiBatch, {}).is_ok());
+  std::this_thread::sleep_for(30ms);
+  {
+    std::lock_guard<std::mutex> lock(log.mutex);
+    EXPECT_EQ(log.events.size(), 2u) << "batch overtook the busy strand";
+  }
+  log.release(1);
+  ASSERT_TRUE(log.wait_events(3));
+
   std::lock_guard<std::mutex> lock(log.mutex);
-  EXPECT_EQ(log.events[0].op, proto::OpCode::kJobSubmit);
-  EXPECT_FALSE(log.events[0].on_io_thread);
-  EXPECT_EQ(dispatches("strand"), strand_before + 1);
+  ASSERT_EQ(log.events.size(), 3u);
+  EXPECT_EQ(log.events[0].op, proto::OpCode::kMpiBatch);
+  EXPECT_EQ(log.events[1].op, proto::OpCode::kHeartbeat);
+  EXPECT_EQ(log.events[2].op, proto::OpCode::kMpiBatch);
+  for (const DispatchLog::Event& event : log.events)
+    EXPECT_TRUE(event.on_io_thread);
+}
+
+TEST(ReactorConnection, AckRunsInlineWhileStrandIsBusy) {
+  // Applying an ack commutes with everything else on the connection, so a
+  // kMpiBatchAck does not wait for a blocking op that is still running.
+  DispatchLog log;
+  ConnPair pair =
+      connect_pair([](const proto::Envelope&, Connection&) {}, log.handler());
+  ASSERT_TRUE(pair.a->notify(proto::OpCode::kJobSubmit, {}).is_ok());
+  ASSERT_TRUE(log.wait_started(1));
+  ASSERT_TRUE(pair.a->notify(proto::OpCode::kMpiBatchAck, {}).is_ok());
+  EXPECT_TRUE(log.wait_events(2)) << "ack waited for the blocking op";
+  std::lock_guard<std::mutex> lock(log.mutex);
+  ASSERT_EQ(log.events.size(), 2u);
+  EXPECT_EQ(log.events[1].op, proto::OpCode::kMpiBatchAck);
+  EXPECT_TRUE(log.events[1].on_io_thread);
+  ASSERT_EQ(log.tasks.size(), 1u);
+  EXPECT_FALSE(log.tasks[0].done()) << "the offloaded op did not block";
+}
+
+TEST(ReactorConnection, DeclaredControlOpRunsInlineOnIdleStrand) {
+  // A control op needs no declaration to run inline: the ping is handled
+  // and answered on the I/O thread.
+  DispatchLog log;
+  ConnPair pair =
+      connect_pair([](const proto::Envelope&, Connection&) {}, log.handler());
+  const Result<proto::Envelope> pong =
+      pair.a->call(proto::OpCode::kPing, {}, 10 * kMicrosPerSecond);
+  ASSERT_TRUE(pong.is_ok()) << pong.status().to_string();
+  EXPECT_EQ(pong.value().op, proto::OpCode::kPong);
+  std::lock_guard<std::mutex> lock(log.mutex);
+  ASSERT_EQ(log.events.size(), 1u);
+  EXPECT_EQ(log.events[0].op, proto::OpCode::kPing);
+  EXPECT_TRUE(log.events[0].on_io_thread);
 }
 
 TEST(ReactorConnection, DeclaredOpQueuesBehindBusyStrand) {
-  // kJobSubmit holds the strand; a declared kPing arriving meanwhile must
-  // not overtake it inline, and runs after it, on the strand.
+  // kJobQuery holds the strand inline; a kPing arriving meanwhile must not
+  // overtake it, and runs after it, on the I/O thread.
   DispatchLog log;
-  log.blocker = proto::OpCode::kJobSubmit;
-  ConnPair pair = make_pair([](const proto::Envelope&, Connection&) {},
-                            log.handler(), false,
-                            std::vector<proto::OpCode>{proto::OpCode::kPing});
-  // Unblocks the strand before the pair closes, on every exit path.
-  struct ReleaseOnExit {
-    DispatchLog& log;
-    ~ReleaseOnExit() { log.release(); }
-  } release_on_exit{log};
-  ASSERT_TRUE(pair.a->notify(proto::OpCode::kJobSubmit, {}).is_ok());
+  log.hold = proto::OpCode::kJobQuery;
+  ConnPair pair =
+      connect_pair([](const proto::Envelope&, Connection&) {}, log.handler());
+  ReleaseOnExit release_on_exit{log};
+  ASSERT_TRUE(pair.a->notify(proto::OpCode::kJobQuery, {}).is_ok());
   ASSERT_TRUE(log.wait_events(1));
   ASSERT_TRUE(pair.a->notify(proto::OpCode::kPing, {}).is_ok());
   std::this_thread::sleep_for(30ms);
   {
     std::lock_guard<std::mutex> lock(log.mutex);
-    EXPECT_EQ(log.events.size(), 1u) << "declared op overtook the busy strand";
+    EXPECT_EQ(log.events.size(), 1u) << "ping overtook the busy strand";
   }
-  log.release();
+  log.release(1);
   ASSERT_TRUE(log.wait_events(2));
   std::lock_guard<std::mutex> lock(log.mutex);
   ASSERT_EQ(log.events.size(), 2u);
-  EXPECT_EQ(log.events[0].op, proto::OpCode::kJobSubmit);
+  EXPECT_EQ(log.events[0].op, proto::OpCode::kJobQuery);
   EXPECT_EQ(log.events[1].op, proto::OpCode::kPing);
-  EXPECT_FALSE(log.events[1].on_io_thread);
+  EXPECT_TRUE(log.events[1].on_io_thread);
+}
+
+TEST(ReactorConnection, OffloadCapPausesReadsUntilOneFinishes) {
+  DispatchLog log;
+  ConnPair pair =
+      connect_pair([](const proto::Envelope&, Connection&) {}, log.handler());
+  const int cap = static_cast<int>(Connection::kMaxOffloads);
+  for (int i = 0; i < cap; ++i)
+    ASSERT_TRUE(pair.a->notify(proto::OpCode::kJobSubmit, {}).is_ok());
+  ASSERT_TRUE(log.wait_started(cap));
+
+  // At the cap reads are paused: neither one more offloaded op nor a ping,
+  // which would be answered inline, is read.
+  ASSERT_TRUE(pair.a->notify(proto::OpCode::kJobSubmit, {}).is_ok());
+  const Result<proto::Envelope> paused =
+      pair.a->call(proto::OpCode::kPing, {}, 200 * kMicrosPerMilli);
+  EXPECT_EQ(paused.status().code(), ErrorCode::kDeadlineExceeded)
+      << "reads went on past the offload cap";
+  {
+    std::lock_guard<std::mutex> lock(log.mutex);
+    EXPECT_EQ(log.started, cap);
+    EXPECT_EQ(log.events.size(), static_cast<std::size_t>(cap));
+  }
+
+  // One finishes: reads resume, and the queued op and ping are read.
+  log.release(1);
+  ASSERT_TRUE(log.wait_started(cap + 1));
+  ASSERT_TRUE(log.wait_events(static_cast<std::size_t>(cap) + 2));
+  log.release(1 << 20);
+  const Result<proto::Envelope> pong =
+      pair.a->call(proto::OpCode::kPing, {}, 10 * kMicrosPerSecond);
+  EXPECT_TRUE(pong.is_ok()) << pong.status().to_string();
+}
+
+TEST(ReactorConnection, OffloadedWorkExportsSpansOfForeignTraces) {
+  // The offloaded task runs under the trace context its handler ran
+  // under, and its spans of a foreign trace flow back like an inline
+  // handler's do.
+  constexpr std::uint64_t kForeignTrace = 424242;
+  constexpr std::uint64_t kForeignSpan = 99;
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::vector<proto::ExportedSpan> exported;
+  std::vector<ThreadCache::Handle> tasks;
+  {
+    ConnPair pair = connect_pair(
+        [&](const proto::Envelope& env, Connection&) {
+          if (env.op != proto::OpCode::kTraceExport) return;
+          Result<proto::TraceExport> parsed =
+              proto::TraceExport::parse(env.payload);
+          ASSERT_TRUE(parsed.is_ok());
+          std::lock_guard<std::mutex> lock(mutex);
+          for (proto::ExportedSpan& span : parsed.value().spans)
+            exported.push_back(std::move(span));
+          cv.notify_all();
+        },
+        [&](const proto::Envelope& env, Connection& conn) {
+          if (env.op != proto::OpCode::kJobSubmit) return;
+          ThreadCache::Handle task =
+              conn.offload(env, [](const proto::Envelope&, Connection&) {
+                telemetry::Span span = telemetry::Tracer::global().start_span(
+                    "test.offloaded", "site-b");
+              });
+          std::lock_guard<std::mutex> lock(mutex);
+          tasks.push_back(std::move(task));
+        },
+        /*export_from_b=*/true);
+    {
+      telemetry::ScopedTraceContext ctx(
+          telemetry::TraceContext{kForeignTrace, kForeignSpan});
+      ASSERT_TRUE(pair.a->notify(proto::OpCode::kJobSubmit, {}).is_ok());
+    }
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(cv.wait_for(lock, 10s, [&] { return !exported.empty(); }));
+  }
+  for (const ThreadCache::Handle& task : tasks) task.wait();
+  ASSERT_EQ(exported.size(), 1u);
+  EXPECT_EQ(exported[0].name, "test.offloaded");
+  EXPECT_EQ(exported[0].trace_id, kForeignTrace);
+  EXPECT_EQ(exported[0].parent_span_id, kForeignSpan);
+}
+
+/// Live threads of this process, from /proc/self/status.
+long os_thread_count() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0)
+      return std::strtol(line.c_str() + 8, nullptr, 10);
+  }
+  return -1;
+}
+
+TEST(ReactorConnection, BurstOfUndeclaredOpsSpawnsNoThread) {
+  // One kJobSubmit on each of 256 connections at once: every handler runs
+  // on the reactor's own threads, so the burst starts no thread.
+  constexpr int kPairs = 256;
+  std::mutex mutex;
+  std::condition_variable cv;
+  int handled = 0;
+  std::vector<ConnPair> pairs;
+  pairs.reserve(kPairs);
+  for (int i = 0; i < kPairs; ++i) {
+    pairs.push_back(connect_pair(
+        [](const proto::Envelope&, Connection&) {},
+        [&](const proto::Envelope& env, Connection&) {
+          if (env.op != proto::OpCode::kJobSubmit) return;
+          std::lock_guard<std::mutex> lock(mutex);
+          ++handled;
+          cv.notify_all();
+        }));
+  }
+  const long before = os_thread_count();
+  ASSERT_GT(before, 0);
+  for (ConnPair& pair : pairs)
+    ASSERT_TRUE(pair.a->notify(proto::OpCode::kJobSubmit, {}).is_ok());
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(cv.wait_for(lock, 20s, [&] { return handled == kPairs; }));
+  }
+  EXPECT_LE(os_thread_count(), before + 2);
 }
 
 /// Two connections bouncing a kPing back and forth inline: each handler
@@ -735,8 +882,7 @@ TEST(ReactorConnection, SelfWrittenFramesWakeNothing) {
   constexpr int kHops = 1000;
   InlineChain chain;
   chain.limit = kHops;
-  ConnPair pair = make_pair(chain.handler(), chain.handler(), false,
-                            std::vector<proto::OpCode>{proto::OpCode::kPing});
+  ConnPair pair = connect_pair(chain.handler(), chain.handler());
   const std::uint64_t before = reactor.stats().wakeups;
   ASSERT_TRUE(pair.a->notify(proto::OpCode::kPing, {}).is_ok());
   ASSERT_TRUE(chain.wait_finished());
@@ -750,8 +896,7 @@ TEST(ReactorConnection, IoTimerFiresWhileInlineHopsRefillReadyList) {
   // An endless inline chain keeps the I/O thread's ready list non-empty;
   // a kIo timer must still fire, between hops, while the chain runs.
   InlineChain chain;
-  ConnPair pair = make_pair(chain.handler(), chain.handler(), false,
-                            std::vector<proto::OpCode>{proto::OpCode::kPing});
+  ConnPair pair = connect_pair(chain.handler(), chain.handler());
   ASSERT_TRUE(pair.a->notify(proto::OpCode::kPing, {}).is_ok());
   const auto running_by = std::chrono::steady_clock::now() + 10s;
   while (chain.hops.load() < 100 &&

@@ -33,8 +33,8 @@ TEST(SenderWindow, SeqsAreContiguousFromOne) {
 }
 
 TEST(SenderWindow, ConcurrentSeqsAreDistinct) {
-  // Rank threads of a node agent, and the connection strands of a proxy,
-  // draw seqs from one link's window at once. A seq handed out twice makes
+  // Rank threads of a node agent, and the reactor I/O threads and job
+  // workers of a proxy, draw seqs from one link's window at once. A seq handed out twice makes
   // the receiver drop the second batch as a duplicate: a lost message.
   constexpr int kThreads = 4;
   constexpr int kPerThread = 50'000;
