@@ -8,12 +8,12 @@ BufferPool::BufferPool(std::size_t max_pooled, std::size_t reserve_bytes)
 Bytes BufferPool::acquire() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    ++acquires_;
     if (!free_.empty()) {
       Bytes buffer = std::move(free_.back());
       free_.pop_back();
       return buffer;
     }
-    ++allocations_;
   }
   Bytes buffer;
   buffer.reserve(reserve_bytes_);
@@ -29,6 +29,11 @@ void BufferPool::release(Bytes buffer) {
 std::size_t BufferPool::pooled() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return free_.size();
+}
+
+std::uint64_t BufferPool::acquires() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return acquires_;
 }
 
 }  // namespace pg::net

@@ -1,10 +1,12 @@
-// BufferPool — recycled receive buffers for the reactor core.
+// BufferPool — recycled partial-frame buffers for the reactor core.
 //
-// Ten thousand idle connections must not pin ten thousand read buffers:
-// a reactor connection borrows a buffer when bytes arrive, decodes frames
-// out of it, and returns it as soon as the stream is fully consumed. The
-// pool keeps a bounded free list of warmed-up buffers (capacity already
-// grown to the working frame size) so steady-state reads allocate nothing.
+// The reactor reads into one chunk per I/O thread and decodes whole frames
+// straight from it; only the bytes of an incomplete trailing frame need a
+// home until the rest arrives. A connection borrows a buffer from this
+// pool for that tail and returns it as soon as the frame completes, so ten
+// thousand idle connections pin no buffers at all. The pool keeps a
+// bounded free list of warmed-up buffers (capacity already grown to the
+// working frame size), so reassembly allocates nothing in steady state.
 #pragma once
 
 #include <cstddef>
@@ -19,7 +21,7 @@ class BufferPool {
  public:
   /// `max_pooled` bounds the free list; `reserve_bytes` is the capacity a
   /// freshly created buffer starts with (64 KiB default matches the
-  /// reactor's per-readiness read chunk).
+  /// reactor's read chunk).
   explicit BufferPool(std::size_t max_pooled = 64,
                       std::size_t reserve_bytes = 64 * 1024);
 
@@ -31,14 +33,15 @@ class BufferPool {
   void release(Bytes buffer);
 
   std::size_t pooled() const;
-  std::uint64_t allocations() const { return allocations_; }
+  /// Buffers handed out by acquire() so far.
+  std::uint64_t acquires() const;
 
  private:
   const std::size_t max_pooled_;
   const std::size_t reserve_bytes_;
   mutable std::mutex mutex_;
-  std::vector<Bytes> free_;      // guarded by mutex_
-  std::uint64_t allocations_ = 0;  // guarded by mutex_ (reads are racy-ok)
+  std::vector<Bytes> free_;    // guarded by mutex_
+  std::uint64_t acquires_ = 0;  // guarded by mutex_
 };
 
 }  // namespace pg::net

@@ -1,26 +1,50 @@
 #include "net/memory_channel.hpp"
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
 
 namespace pg::net {
 
 namespace internal {
 
+namespace {
+constexpr std::size_t kMaxIdleCapacity = 1024 * 1024;
+}  // namespace
+
+std::size_t PipeBuffer::take(std::uint8_t* buf, std::size_t max) {
+  const std::size_t n = std::min(max, data_.size() - head_);
+  if (n == 0) return 0;
+  std::memcpy(buf, data_.data() + head_, n);
+  head_ += n;
+  if (head_ == data_.size()) {
+    // Caught up: keep a working-size buffer, not a burst's high-water mark.
+    if (data_.capacity() > kMaxIdleCapacity) {
+      data_ = Bytes();
+    } else {
+      data_.clear();
+    }
+    head_ = 0;
+  } else if (head_ > data_.size() / 2) {
+    // A lagging reader: drop the consumed prefix so the buffer stays
+    // within twice the unread bytes.
+    data_.erase(data_.begin(),
+                data_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+  return n;
+}
+
 std::size_t PipeBuffer::read(std::uint8_t* buf, std::size_t max) {
   std::unique_lock<std::mutex> lock(mutex_);
-  readable_.wait(lock, [this] { return !data_.empty() || closed_; });
-  const std::size_t n = std::min(max, data_.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    buf[i] = data_.front();
-    data_.pop_front();
-  }
-  return n;  // 0 only when closed and drained => EOF
+  readable_.wait(lock, [this] { return head_ < data_.size() || closed_; });
+  return take(buf, max);  // 0 only when closed and drained => EOF
 }
 
 TryReadResult PipeBuffer::try_read(std::uint8_t* buf, std::size_t max) {
   std::lock_guard<std::mutex> lock(mutex_);
   TryReadResult result;
-  if (data_.empty()) {
+  if (head_ == data_.size()) {
     if (closed_) {
       result.eof = true;
     } else {
@@ -28,11 +52,7 @@ TryReadResult PipeBuffer::try_read(std::uint8_t* buf, std::size_t max) {
     }
     return result;
   }
-  result.n = std::min(max, data_.size());
-  for (std::size_t i = 0; i < result.n; ++i) {
-    buf[i] = data_.front();
-    data_.pop_front();
-  }
+  result.n = take(buf, max);
   return result;
 }
 
@@ -57,6 +77,11 @@ void PipeBuffer::close() {
 bool PipeBuffer::closed() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return closed_;
+}
+
+std::size_t PipeBuffer::held_bytes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return data_.size();
 }
 
 void PipeBuffer::set_notify(std::function<void()> notify) {

@@ -17,9 +17,6 @@ namespace {
 
 constexpr std::uint64_t kWakeupTag = 0;
 constexpr std::size_t kReadChunk = 64 * 1024;
-// Consumed-prefix size beyond which a partially decoded stream is
-// compacted instead of growing unboundedly.
-constexpr std::size_t kCompactThreshold = 64 * 1024;
 
 TimeMicros steady_micros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -53,11 +50,11 @@ struct Reactor::Conn {
   std::size_t io_index = 0;
   int fd = -1;  // -1: fd-less channel driven via watch_readable()
 
-  // Receive stream; touched only by the owning I/O thread.
-  Bytes stream;
-  std::size_t pos = 0;
-  bool has_buffer = false;
-  bool dead = false;  // on_closed delivered
+  // Bytes of an incomplete trailing frame, in a buffer borrowed from the
+  // pool while the frame is partial (empty otherwise); touched only by the
+  // owning I/O thread.
+  Bytes tail;
+  bool dead = false;  // on_closed delivered, or removed by its own callback
 
   std::atomic<bool> paused{false};
   std::atomic<bool> ready_queued{false};
@@ -71,8 +68,16 @@ struct Reactor::IoThread {
   int epoll_fd = -1;
   int event_fd = -1;
   std::thread thread;
+  // Every try_read of this thread lands here, and frames are decoded (and
+  // records opened) in place in it. Never value-initialized. Reused by the
+  // next pump, so a pump must never run nested on one I/O thread: a
+  // callback's writes only queue a channel on the ready list (see
+  // notify_readable), and only io_loop calls pump.
+  std::unique_ptr<std::uint8_t[]> chunk =
+      std::make_unique_for_overwrite<std::uint8_t[]>(kReadChunk);
   std::mutex ready_mutex;
   std::vector<Id> ready;  // fd-less channels with pending bytes
+  std::vector<Id> draining;  // drain_ready's swap partner, keeps capacity
   // Id of the connection whose callbacks are running right now; the
   // remove barrier waits for this to move off the removed id.
   std::atomic<Id> processing{0};
@@ -214,11 +219,13 @@ void Reactor::remove_channel(Id id) {
     barrier_cv_.wait(lock, [&] {
       return io.processing.load(std::memory_order_acquire) != id;
     });
+  } else if (io.processing.load(std::memory_order_relaxed) == id) {
+    // Closed from its own frame callback: the pump still decodes from the
+    // tail, delivers nothing more and releases the tail on its way out.
+    conn->dead = true;
+    return;
   }
-  if (conn->has_buffer) {
-    pool_.release(std::move(conn->stream));
-    conn->has_buffer = false;
-  }
+  release_tail(*conn);
 }
 
 void Reactor::pause_reads(Id id) {
@@ -287,6 +294,7 @@ Reactor::Stats Reactor::stats() const {
   }
   s.frames = frames_.load(std::memory_order_relaxed);
   s.bytes_read = bytes_read_.load(std::memory_order_relaxed);
+  s.partial_tails = pool_.acquires();
   s.timers_fired = timers_fired_.load(std::memory_order_relaxed);
   s.wakeups = wakeups_.load(std::memory_order_relaxed);
   return s;
@@ -360,44 +368,33 @@ void Reactor::handle_conn_event(IoThread& io, Id id, std::uint32_t events) {
     }
   }
   if ((events & (EPOLLIN | EPOLLERR | EPOLLHUP | EPOLLRDHUP)) != 0) {
-    pump(*conn);
+    pump(io, *conn);
   }
   end_processing(io);
 }
 
-void Reactor::pump(Conn& conn) {
+void Reactor::pump(IoThread& io, Conn& conn) {
   if (conn.dead) return;
   for (;;) {
     if (conn.paused.load(std::memory_order_acquire)) break;
-    if (!conn.has_buffer) {
-      conn.stream = pool_.acquire();
-      conn.has_buffer = true;
-      conn.pos = 0;
-    }
-    const std::size_t old_size = conn.stream.size();
-    conn.stream.resize(old_size + kReadChunk);
-    auto read = conn.channel->try_read(conn.stream.data() + old_size,
-                                       kReadChunk);
+    auto read = conn.channel->try_read(io.chunk.get(), kReadChunk);
     if (!read.is_ok()) {
-      conn.stream.resize(old_size);
       die(conn, read.status());
       return;
     }
     const TryReadResult result = read.value();
-    conn.stream.resize(old_size + result.n);
     if (result.n > 0) {
       bytes_read_.fetch_add(result.n, std::memory_order_relaxed);
-      Status decoded = conn.decoder->decode(
-          conn.stream, conn.pos, [&](BytesView frame) {
-            frames_.fetch_add(1, std::memory_order_relaxed);
-            if (conn.callbacks.on_frame) conn.callbacks.on_frame(frame);
-          });
+      Status decoded =
+          deliver(conn, std::span<std::uint8_t>(io.chunk.get(), result.n));
       if (!decoded.is_ok()) {
         die(conn, decoded);
         return;
       }
-      if (conn.dead) return;  // a frame callback closed us re-entrantly
-      compact(conn);
+      if (conn.dead) {  // a frame callback closed us re-entrantly
+        release_tail(conn);
+        return;
+      }
     }
     if (result.eof) {
       die(conn, Status(ErrorCode::kUnavailable, "connection closed by peer"));
@@ -405,33 +402,48 @@ void Reactor::pump(Conn& conn) {
     }
     if (result.would_block) break;
   }
-  compact(conn);
 }
 
-void Reactor::compact(Conn& conn) {
-  if (!conn.has_buffer) return;
-  if (conn.pos == conn.stream.size()) {
-    pool_.release(std::move(conn.stream));
-    conn.stream = Bytes();
-    conn.has_buffer = false;
-    conn.pos = 0;
-  } else if (conn.pos > kCompactThreshold) {
-    conn.stream.erase(conn.stream.begin(),
-                      conn.stream.begin() +
-                          static_cast<std::ptrdiff_t>(conn.pos));
-    conn.pos = 0;
+Status Reactor::deliver(Conn& conn, std::span<std::uint8_t> bytes) {
+  const auto sink = [this, &conn](BytesView frame) {
+    if (conn.dead) return;
+    frames_.fetch_add(1, std::memory_order_relaxed);
+    if (conn.callbacks.on_frame) conn.callbacks.on_frame(frame);
+  };
+  std::size_t pos = 0;
+  if (conn.tail.empty()) {
+    // The common case: whole frames decode straight from the chunk, and
+    // only an incomplete last frame is copied aside.
+    PG_RETURN_IF_ERROR(conn.decoder->decode(bytes, pos, sink));
+    if (pos < bytes.size() && !conn.dead) {
+      conn.tail = pool_.acquire();
+      conn.tail.insert(conn.tail.end(), bytes.begin() + pos, bytes.end());
+    }
+    return Status::ok();
   }
+  // A frame is pending: complete it (and decode whatever follows) in the
+  // tail. Frames larger than the chunk accumulate here.
+  conn.tail.insert(conn.tail.end(), bytes.begin(), bytes.end());
+  PG_RETURN_IF_ERROR(conn.decoder->decode(conn.tail, pos, sink));
+  if (pos == conn.tail.size()) {
+    release_tail(conn);
+  } else if (pos > 0) {
+    conn.tail.erase(conn.tail.begin(),
+                    conn.tail.begin() + static_cast<std::ptrdiff_t>(pos));
+  }
+  return Status::ok();
+}
+
+void Reactor::release_tail(Conn& conn) {
+  if (conn.tail.empty()) return;
+  pool_.release(std::move(conn.tail));
+  conn.tail = Bytes();
 }
 
 void Reactor::die(Conn& conn, const Status& reason) {
+  release_tail(conn);
   if (conn.dead) return;
   conn.dead = true;
-  if (conn.has_buffer) {
-    pool_.release(std::move(conn.stream));
-    conn.stream = Bytes();
-    conn.has_buffer = false;
-    conn.pos = 0;
-  }
   if (conn.fd >= 0) {
     ::epoll_ctl(io_threads_[conn.io_index]->epoll_fd, EPOLL_CTL_DEL, conn.fd,
                 nullptr);
@@ -440,20 +452,20 @@ void Reactor::die(Conn& conn, const Status& reason) {
 }
 
 void Reactor::drain_ready(IoThread& io) {
-  std::vector<Id> ready;
   {
     std::lock_guard<std::mutex> lock(io.ready_mutex);
-    ready.swap(io.ready);
+    io.draining.swap(io.ready);
   }
-  for (const Id id : ready) {
+  for (const Id id : io.draining) {
     std::shared_ptr<Conn> conn = find_and_begin(io, id);
     if (!conn) continue;
     // Clear before pumping so a write landing mid-pump re-queues; the pump
     // drains everything anyway, so the extra pass is a cheap no-op.
     conn->ready_queued.store(false, std::memory_order_release);
-    pump(*conn);
+    pump(io, *conn);
     end_processing(io);
   }
+  io.draining.clear();
 }
 
 int Reactor::next_timer_timeout_ms() {

@@ -2,15 +2,17 @@
 //
 // A small, fixed set of I/O threads owns every registered channel: each
 // thread runs an epoll loop (edge-triggered for fd-backed channels, a
-// callback readiness shim for in-process ones), reads into pooled buffers,
-// runs the link's incremental frame decoder on whatever bytes arrived, and
-// hands complete messages to the registration's on_frame callback — which
-// must never block. Connection runs every envelope's handler to
-// completion right there; the few handlers whose work blocks hand it to
-// the process ThreadCache (Connection::offload). Writes that cannot
-// complete immediately queue inside
-// the channel and are drained here on EPOLLOUT; a write issued on an I/O
-// thread never waits for that queue to shrink (Reactor::on_io_thread).
+// callback readiness shim for in-process ones), reads into its own 64 KiB
+// chunk, runs the link's incremental frame decoder in place on whatever
+// bytes arrived, and hands complete messages to the registration's
+// on_frame callback — which must never block. Only the bytes of an
+// incomplete trailing frame are copied, into a tail buffer borrowed from
+// the pool until the frame completes. Connection runs every envelope's
+// handler to completion right there; the few handlers whose work blocks
+// hand it to the process ThreadCache (Connection::offload). Writes that
+// cannot complete immediately queue inside the channel and are drained
+// here on EPOLLOUT; a write issued on an I/O thread never waits for that
+// queue to shrink (Reactor::on_io_thread).
 //
 // Self-wake rule: a readiness notification raised on the very I/O thread
 // that serves the channel (an inline handler writing to an in-process
@@ -31,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -69,6 +72,9 @@ class Reactor {
     std::uint64_t connections = 0;  // currently registered
     std::uint64_t frames = 0;
     std::uint64_t bytes_read = 0;
+    /// Reads that ended inside a frame with none pending, so its bytes
+    /// were copied to a pooled tail buffer.
+    std::uint64_t partial_tails = 0;
     std::uint64_t timers_fired = 0;
     /// Event-loop wakeups: epoll_wait returns, not counting a zero-timeout
     /// poll for work the thread queued itself that finds no event.
@@ -142,8 +148,13 @@ class Reactor {
   void notify_readable(Id id);
   void mark_want_write(const std::shared_ptr<Conn>& conn);
   void handle_conn_event(IoThread& io, Id id, std::uint32_t events);
-  void pump(Conn& conn);
-  void compact(Conn& conn);
+  /// Reads `conn` into the thread's chunk until it would block, and
+  /// delivers every complete frame. Runs only from io_loop, never nested.
+  void pump(IoThread& io, Conn& conn);
+  /// Decodes freshly read bytes: in place from the chunk when no partial
+  /// frame is pending, else appended to and decoded from the pooled tail.
+  Status deliver(Conn& conn, std::span<std::uint8_t> bytes);
+  void release_tail(Conn& conn);
   void die(Conn& conn, const Status& reason);
   void drain_ready(IoThread& io);
   int next_timer_timeout_ms();

@@ -323,7 +323,8 @@ class GsslSessionImpl final : public GsslSession {
                      static_cast<std::ptrdiff_t>(plain_len.value()));
   }
 
-  Result<std::size_t> open_record(std::uint8_t type, Bytes& record) override {
+  Result<std::size_t> open_record(std::uint8_t type,
+                                  std::span<std::uint8_t> record) override {
     std::lock_guard<std::mutex> lock(recv_mutex_);
     if (type == static_cast<std::uint8_t>(RecordType::kAlert))
       return error(ErrorCode::kCryptoError,

@@ -86,7 +86,7 @@ class GsslSession {
   /// is mutually exclusive with recv(): pick one receive style per
   /// session.
   virtual Result<std::size_t> open_record(std::uint8_t type,
-                                          Bytes& record) = 0;
+                                          std::span<std::uint8_t> record) = 0;
 
   virtual void close() = 0;
 

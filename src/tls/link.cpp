@@ -56,7 +56,7 @@ class PlainLink final : public MessageLink, private net::FrameDecoder {
  private:
   // Incremental [len u32 BE][payload] extraction — the event-mode mirror
   // of net::read_frame.
-  Status decode(Bytes& buf, std::size_t& pos,
+  Status decode(std::span<std::uint8_t> buf, std::size_t& pos,
                 const std::function<void(BytesView)>& sink) override {
     for (;;) {
       const std::size_t available = buf.size() - pos;
@@ -108,10 +108,10 @@ class SecureLink final : public MessageLink, private net::FrameDecoder {
 
  private:
   // Incremental [type u8][len u32 BE][protected payload] extraction; each
-  // complete record is copied into the per-link scratch and decrypted in
-  // place there via the session's caller-owned open path (the stream
-  // buffer itself must keep the raw tail for the next readiness event).
-  Status decode(Bytes& buf, std::size_t& pos,
+  // complete record is verified and decrypted where it lies in `buf` (its
+  // bytes are consumed, so nothing reads the ciphertext again) and the
+  // sink sees the plaintext in place.
+  Status decode(std::span<std::uint8_t> buf, std::size_t& pos,
                 const std::function<void(BytesView)>& sink) override {
     for (;;) {
       const std::size_t available = buf.size() - pos;
@@ -121,17 +121,16 @@ class SecureLink final : public MessageLink, private net::FrameDecoder {
       if (len > internal::kMaxRecordSize)
         return error(ErrorCode::kProtocolError, "record too large");
       if (available - internal::kRecordHeaderSize < len) return Status::ok();
-      const std::uint8_t* body = buf.data() + pos + internal::kRecordHeaderSize;
-      scratch_.assign(body, body + len);
+      const std::span<std::uint8_t> record =
+          buf.subspan(pos + internal::kRecordHeaderSize, len);
       pos += internal::kRecordHeaderSize + len;
-      Result<std::size_t> plain_len = session_->open_record(type, scratch_);
+      Result<std::size_t> plain_len = session_->open_record(type, record);
       if (!plain_len.is_ok()) return plain_len.status();
-      sink(BytesView(scratch_.data(), plain_len.value()));
+      sink(BytesView(record.data(), plain_len.value()));
     }
   }
 
   GsslSessionPtr session_;
-  Bytes scratch_;  // reactor I/O thread only (single reader)
 };
 
 }  // namespace

@@ -145,8 +145,8 @@ Result<Bytes> RecordCipher::open(RecordType type,
   return out;
 }
 
-Result<std::size_t> RecordCipher::open_in_place(RecordType type,
-                                                Bytes& record) {
+Result<std::size_t> RecordCipher::open_in_place(
+    RecordType type, std::span<std::uint8_t> record) {
   if (record.size() < kMacSize)
     return error(ErrorCode::kCryptoError, "record shorter than MAC");
   const std::size_t clen = record.size() - kMacSize;

@@ -62,7 +62,8 @@ class RecordCipher {
   /// Verifies `record` ([ciphertext][mac]) and decrypts the ciphertext in
   /// place; on success returns the plaintext length (a prefix of
   /// `record`) and increments the receive sequence.
-  Result<std::size_t> open_in_place(RecordType type, Bytes& record);
+  Result<std::size_t> open_in_place(RecordType type,
+                                    std::span<std::uint8_t> record);
 
  private:
   void nonce_for(std::uint64_t seq,

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "net/channel.hpp"
@@ -99,6 +100,94 @@ TEST(MemoryChannel, ReadExactAcrossWrites) {
   writer.join();
   EXPECT_EQ(buf[0], 0);
   EXPECT_EQ(buf[99], 9);
+}
+
+TEST(PipeBuffer, LaggingReaderCompactsTheBuffer) {
+  // 16-byte writes, 8-byte reads: the unread backlog grows by 8 bytes a
+  // round, and the consumed prefix is dropped before it outgrows the
+  // backlog, so the buffer never holds more than about twice what is
+  // unread. Bytes come out in order throughout.
+  internal::PipeBuffer pipe;
+  std::uint8_t next_written = 0;
+  std::uint8_t next_read = 0;
+  std::size_t unread = 0;
+  for (int round = 0; round < 2000; ++round) {
+    std::uint8_t chunk[16];
+    for (std::uint8_t& b : chunk) b = next_written++;
+    pipe.write(BytesView(chunk, sizeof(chunk)));
+    unread += sizeof(chunk);
+    std::uint8_t out[8];
+    ASSERT_EQ(pipe.read(out, sizeof(out)), sizeof(out));
+    unread -= sizeof(out);
+    for (const std::uint8_t b : out) ASSERT_EQ(b, next_read++);
+    ASSERT_LE(pipe.held_bytes(), 2 * unread + sizeof(chunk))
+        << "round " << round;
+  }
+  // Catching up resets the buffer.
+  std::vector<std::uint8_t> rest(unread);
+  TryReadResult got = pipe.try_read(rest.data(), rest.size());
+  ASSERT_EQ(got.n, unread);
+  for (const std::uint8_t b : rest) ASSERT_EQ(b, next_read++);
+  EXPECT_EQ(pipe.held_bytes(), 0u);
+  EXPECT_TRUE(pipe.try_read(rest.data(), 1).would_block);
+}
+
+TEST(PipeBuffer, BlockingReadInterleavedWithTryRead) {
+  ChannelPair pair = make_memory_channel_pair();
+  constexpr int kWrites = 500;
+  std::thread writer([&pair] {
+    for (int i = 0; i < kWrites; ++i) {
+      const Bytes chunk(1 + i % 37, static_cast<std::uint8_t>(i));
+      ASSERT_TRUE(pair.a->write(chunk).is_ok());
+      if (i % 16 == 0) std::this_thread::yield();
+    }
+  });
+  Bytes want;
+  for (int i = 0; i < kWrites; ++i)
+    want.insert(want.end(), 1 + i % 37, static_cast<std::uint8_t>(i));
+  Bytes got;
+  bool blocking = true;
+  while (got.size() < want.size()) {
+    std::uint8_t buf[29];
+    if (blocking) {
+      Result<std::size_t> n = pair.b->read(buf, sizeof(buf));
+      ASSERT_TRUE(n.is_ok());
+      ASSERT_GT(n.value(), 0u);
+      got.insert(got.end(), buf, buf + n.value());
+    } else {
+      Result<TryReadResult> r = pair.b->try_read(buf, sizeof(buf));
+      ASSERT_TRUE(r.is_ok());
+      ASSERT_FALSE(r.value().eof);
+      got.insert(got.end(), buf, buf + r.value().n);
+    }
+    blocking = !blocking;
+  }
+  writer.join();
+  EXPECT_EQ(got, want);
+}
+
+TEST(PipeBuffer, EofOnlyAfterTheBufferDrains) {
+  ChannelPair pair = make_memory_channel_pair();
+  ASSERT_TRUE(pair.a->write(to_bytes("abc")).is_ok());
+  ASSERT_TRUE(pair.a->write(to_bytes("def")).is_ok());
+  pair.a->close();
+
+  std::uint8_t buf[8];
+  Result<TryReadResult> first = pair.b->try_read(buf, 2);
+  ASSERT_TRUE(first.is_ok());
+  EXPECT_FALSE(first.value().eof);
+  EXPECT_EQ(std::string(buf, buf + first.value().n), "ab");
+  Result<std::size_t> second = pair.b->read(buf, sizeof(buf));
+  ASSERT_TRUE(second.is_ok());
+  EXPECT_EQ(std::string(buf, buf + second.value()), "cdef");
+
+  Result<TryReadResult> drained = pair.b->try_read(buf, sizeof(buf));
+  ASSERT_TRUE(drained.is_ok());
+  EXPECT_TRUE(drained.value().eof);
+  EXPECT_EQ(drained.value().n, 0u);
+  Result<std::size_t> eof = pair.b->read(buf, sizeof(buf));
+  ASSERT_TRUE(eof.is_ok());
+  EXPECT_EQ(eof.value(), 0u);
 }
 
 TEST(Framer, RoundTrip) {

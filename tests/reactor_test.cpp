@@ -20,6 +20,7 @@
 #include "net/tcp.hpp"
 #include "proto/messages.hpp"
 #include "proxy/connection.hpp"
+#include "receive_path.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "tls/link.hpp"
@@ -29,17 +30,7 @@ namespace {
 
 using namespace std::chrono_literals;
 
-/// Builds the PlainLink wire form of one frame: [len u32 BE][payload].
-Bytes plain_frame(const std::string& payload) {
-  Bytes out;
-  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  out.push_back(static_cast<std::uint8_t>(len >> 24));
-  out.push_back(static_cast<std::uint8_t>(len >> 16));
-  out.push_back(static_cast<std::uint8_t>(len >> 8));
-  out.push_back(static_cast<std::uint8_t>(len));
-  for (char c : payload) out.push_back(static_cast<std::uint8_t>(c));
-  return out;
-}
+using receive_path::plain_frame;
 
 /// Collects frames/close events delivered by the reactor.
 struct Sink {
@@ -281,6 +272,59 @@ TEST(Reactor, FdLessChannelsUseReadinessShim) {
   pair.a->close();
   ASSERT_TRUE(sink.wait_closed());
   reactor.remove_channel(id.value());
+}
+
+/// Plain frames over a connected TCP pair: reads are edge-triggered and
+/// the kernel, not the writer, decides where they split.
+receive_path::Endpoint tcp_plain_endpoint() {
+  struct Owner {
+    ChannelPtr sender;
+    ChannelPtr receiver;
+    tls::MessageLinkPtr receiver_link;
+  };
+  auto owner = std::make_shared<Owner>();
+  receive_path::Endpoint end;
+  auto listener = TcpListener::bind(0);
+  EXPECT_TRUE(listener.is_ok()) << listener.status().to_string();
+  if (!listener.is_ok()) return end;
+  auto client = tcp_connect("127.0.0.1", listener.value().port());
+  auto accepted = listener.value().accept();
+  EXPECT_TRUE(client.is_ok() && accepted.is_ok());
+  if (!client.is_ok() || !accepted.is_ok()) return end;
+  owner->sender = client.take();
+  owner->receiver = accepted.take();
+  owner->receiver_link = tls::make_plain_link(*owner->receiver);
+  end.tx = owner->sender.get();
+  end.rx = owner->receiver.get();
+  end.decoder = owner->receiver_link->decoder();
+  end.encode = [](const std::vector<std::string>& messages) {
+    std::vector<Bytes> out;
+    for (const std::string& m : messages) out.push_back(plain_frame(m));
+    return out;
+  };
+  end.oversized_header = {0xff, 0xff, 0xff, 0xff};
+  end.owner = owner;
+  return end;
+}
+
+TEST(ReactorReceivePathTcp, FramesSplitAtEveryByteBoundary) {
+  receive_path::frames_split_at_every_byte_boundary(tcp_plain_endpoint);
+}
+
+TEST(ReactorReceivePathTcp, SeveralFramesAndAPartialInOneWrite) {
+  receive_path::several_frames_and_a_partial_in_one_write(tcp_plain_endpoint);
+}
+
+TEST(ReactorReceivePathTcp, FrameLargerThanTheReadChunk) {
+  receive_path::frame_larger_than_the_read_chunk(tcp_plain_endpoint);
+}
+
+TEST(ReactorReceivePathTcp, OversizedLengthPrefixClosesWithError) {
+  receive_path::oversized_length_prefix_closes_with_error(tcp_plain_endpoint);
+}
+
+TEST(ReactorReceivePathTcp, CallbackClosesOwnConnectionMidBatch) {
+  receive_path::callback_closes_own_connection_mid_batch(tcp_plain_endpoint);
 }
 
 }  // namespace

@@ -11,7 +11,10 @@
 #include "common/clock.hpp"
 #include "common/rng.hpp"
 #include "crypto/cert.hpp"
+#include "net/framer.hpp"
 #include "net/memory_channel.hpp"
+#include "net/reactor.hpp"
+#include "receive_path.hpp"
 #include "tls/gssl.hpp"
 #include "tls/link.hpp"
 #include "tls/record.hpp"
@@ -23,15 +26,17 @@ namespace {
 std::atomic<std::size_t> g_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Kept out of line, new and delete alike: inlined, std::free would meet
+// the pointer std::malloc returned through operator new, which GCC's
+// -Wmismatched-new-delete cannot tell are this file's matched pair.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) { return operator new(size); }
-// Kept out of line: inlined into a new-expression's cleanup, std::free
-// would meet the pointer operator new returned, which GCC's
-// -Wmismatched-new-delete cannot tell is this file's malloc.
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return operator new(size);
+}
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
@@ -297,6 +302,192 @@ TEST_F(GsslTest, PlainLinkCheaperOnWire) {
   ASSERT_TRUE(secure_rx->recv().is_ok());
 
   EXPECT_LT(plain->stats().wire_bytes_sent, secure->stats().wire_bytes_sent);
+}
+
+// ---------------------------------------------------------------------
+// Reactor receive path: plain frames and GSSL records written as raw bytes
+// to a memory pair and decoded by a Reactor in place.
+
+class ReactorReceivePath : public GsslTest,
+                           public ::testing::WithParamInterface<bool> {
+ protected:
+  static receive_path::Endpoint plain_endpoint() {
+    struct Owner {
+      net::ChannelPair channels = net::make_memory_channel_pair();
+      MessageLinkPtr rx_link = make_plain_link(*channels.b);
+    };
+    auto owner = std::make_shared<Owner>();
+    receive_path::Endpoint end;
+    end.tx = owner->channels.a.get();
+    end.rx = owner->channels.b.get();
+    end.decoder = owner->rx_link->decoder();
+    end.encode = [](const std::vector<std::string>& messages) {
+      std::vector<Bytes> out;
+      for (const std::string& m : messages)
+        out.push_back(receive_path::plain_frame(m));
+      return out;
+    };
+    end.oversized_header = {0xff, 0xff, 0xff, 0xff};
+    end.owner = owner;
+    return end;
+  }
+
+  /// The client session seals each message onto the handshake pair, whose
+  /// far end nobody reads but `encode`; the server session's link decodes
+  /// what the test writes to a second pair the reactor serves.
+  static receive_path::Endpoint secure_endpoint() {
+    struct Owner {
+      SessionPair sessions;
+      MessageLinkPtr rx_link;
+      net::ChannelPair wire = net::make_memory_channel_pair();
+    };
+    auto owner = std::make_shared<Owner>();
+    owner->sessions = handshake(config_for(*alice_), config_for(*bob_));
+    EXPECT_TRUE(owner->sessions.client_status.is_ok());
+    EXPECT_TRUE(owner->sessions.server_status.is_ok());
+    owner->rx_link = make_secure_link(std::move(owner->sessions.server));
+    receive_path::Endpoint end;
+    end.tx = owner->wire.a.get();
+    end.rx = owner->wire.b.get();
+    end.decoder = owner->rx_link->decoder();
+    Owner* raw = owner.get();
+    end.encode = [raw](const std::vector<std::string>& messages) {
+      std::vector<Bytes> out;
+      for (const std::string& m : messages) {
+        EXPECT_TRUE(raw->sessions.client->send(to_bytes(m)).is_ok());
+        Bytes record(internal::kRecordHeaderSize + m.size() +
+                     internal::kMacSize);
+        EXPECT_TRUE(raw->sessions.channels.b
+                        ->read_exact(record.data(), record.size())
+                        .is_ok());
+        out.push_back(std::move(record));
+      }
+      return out;
+    };
+    end.oversized_header = {static_cast<std::uint8_t>(internal::RecordType::kData),
+                            0xff, 0xff, 0xff, 0xff};
+    end.owner = owner;
+    return end;
+  }
+
+  receive_path::EndpointFactory endpoint() const {
+    return GetParam() ? secure_endpoint : plain_endpoint;
+  }
+};
+
+TEST_P(ReactorReceivePath, FramesSplitAtEveryByteBoundary) {
+  receive_path::frames_split_at_every_byte_boundary(endpoint());
+}
+
+TEST_P(ReactorReceivePath, SeveralFramesAndAPartialInOneWrite) {
+  receive_path::several_frames_and_a_partial_in_one_write(endpoint());
+}
+
+TEST_P(ReactorReceivePath, FrameLargerThanTheReadChunk) {
+  receive_path::frame_larger_than_the_read_chunk(endpoint());
+}
+
+TEST_P(ReactorReceivePath, OversizedLengthPrefixClosesWithError) {
+  receive_path::oversized_length_prefix_closes_with_error(endpoint());
+}
+
+TEST_P(ReactorReceivePath, CallbackClosesOwnConnectionMidBatch) {
+  receive_path::callback_closes_own_connection_mid_batch(endpoint());
+}
+
+INSTANTIATE_TEST_SUITE_P(Links, ReactorReceivePath, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& param) {
+                           return param.param ? "Secure" : "Plain";
+                         });
+
+TEST_F(ReactorReceivePath, CorruptedRecordMacClosesWithError) {
+  receive_path::Rig rig(secure_endpoint);
+  rig.attach();
+  std::vector<Bytes> wire = rig.encode({"good", "tampered"});
+  wire[1].back() ^= 0x01;
+  rig.write(receive_path::concat(wire));
+  ASSERT_TRUE(rig.wait_closed());
+  receive_path::expect_frames(rig.frames(), {"good"});
+  EXPECT_EQ(rig.reason().code(), ErrorCode::kCryptoError)
+      << rig.reason().to_string();
+}
+
+TEST_F(ReactorReceivePath, SteadyStateReceiveDoesNotAllocate) {
+  // 64 B frames through a memory pair, the Reactor, a plain decoder and a
+  // secure decoder, one at a time so every read holds one whole frame.
+  // After warm-up nothing on the way allocates: not the pipe, the ready
+  // list, the read, the decode, the record open nor the sender. And no
+  // frame is copied: no read borrows a tail buffer, and every frame is a
+  // view into the I/O thread's one read chunk, where each read starts
+  // (a record's plaintext one byte further in, its header being one byte
+  // longer than a plain frame's).
+  struct Tally {
+    std::atomic<std::uint64_t> frames{0};
+    std::atomic<const std::uint8_t*> at{nullptr};
+    std::atomic<bool> moved{false};
+
+    net::Reactor::Callbacks callbacks() {
+      return {[this](BytesView frame) {
+                const std::uint8_t* first = nullptr;
+                if (!at.compare_exchange_strong(first, frame.data()) &&
+                    first != frame.data())
+                  moved.store(true);
+                frames.fetch_add(1, std::memory_order_release);
+              },
+              {}};
+    }
+    void wait_for(std::uint64_t n) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (frames.load(std::memory_order_acquire) < n) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+        std::this_thread::yield();
+      }
+    }
+  };
+
+  net::Reactor reactor(net::ReactorOptions{1, 1});
+  net::ChannelPair plain = net::make_memory_channel_pair();
+  MessageLinkPtr plain_rx = make_plain_link(*plain.b);
+  SessionPair secure = handshake(config_for(*alice_), config_for(*bob_));
+  ASSERT_TRUE(secure.client_status.is_ok());
+  ASSERT_TRUE(secure.server_status.is_ok());
+  MessageLinkPtr secure_rx = make_secure_link(std::move(secure.server));
+
+  Tally plain_tally, secure_tally;
+  auto plain_id = reactor.add_channel(*plain.b, *plain_rx->decoder(),
+                                      plain_tally.callbacks());
+  auto secure_id = reactor.add_channel(
+      *secure.channels.b, *secure_rx->decoder(), secure_tally.callbacks());
+  ASSERT_TRUE(plain_id.is_ok());
+  ASSERT_TRUE(secure_id.is_ok());
+
+  const Bytes payload(64, 0x5a);
+  std::uint64_t sent = 0;
+  auto exchange = [&](int rounds) {
+    for (int i = 0; i < rounds; ++i) {
+      ++sent;
+      ASSERT_TRUE(net::write_frame(*plain.a, payload).is_ok());
+      plain_tally.wait_for(sent);
+      ASSERT_TRUE(secure.client->send(payload).is_ok());
+      secure_tally.wait_for(sent);
+    }
+  };
+  exchange(100);  // warm-up: buffers, instruments, first-use statics
+
+  const std::uint64_t tails_before = reactor.stats().partial_tails;
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  exchange(1000);
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(after - before, 0u) << "heap allocations over 1000 frames";
+  EXPECT_EQ(reactor.stats().partial_tails, tails_before);
+  EXPECT_FALSE(plain_tally.moved.load()) << "a plain frame was copied";
+  EXPECT_FALSE(secure_tally.moved.load()) << "a record was copied";
+  EXPECT_EQ(secure_tally.at.load(), plain_tally.at.load() + 1)
+      << "records are not opened where they were read";
+  reactor.remove_channel(plain_id.value());
+  reactor.remove_channel(secure_id.value());
 }
 
 // ---------------------------------------------------------------------
