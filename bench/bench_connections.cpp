@@ -3,9 +3,9 @@
 // Holds 10k+ concurrent connections open against the process-global reactor
 // and measures request latency through a hot subset while the rest idle.
 // Under the old thread-per-connection reader model this fleet would need
-// 20k+ reader threads; the reactor holds it on a bounded set (io threads +
-// timer workers + the main thread), which the `os_threads` counter proves
-// against `reactor_io_threads` + `reactor_workers`.
+// 20k+ reader threads; the reactor holds it on its I/O threads plus the
+// main thread, which the `os_threads` counter proves against
+// `reactor_io_threads`.
 //
 // The fleet mixes real TCP sockets (epoll edge-triggered path, capped by
 // RLIMIT_NOFILE) with in-process memory channels (the fd-less readiness
@@ -147,8 +147,6 @@ void BM_PingWithConcurrentConnections(benchmark::State& state) {
   state.counters["os_threads"] = static_cast<double>(thread_count());
   state.counters["reactor_io_threads"] =
       static_cast<double>(net::Reactor::global().io_thread_count());
-  state.counters["reactor_workers"] =
-      static_cast<double>(net::Reactor::global().worker_count());
 }
 BENCHMARK(BM_PingWithConcurrentConnections)
     ->Arg(100)

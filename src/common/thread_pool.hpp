@@ -1,8 +1,8 @@
 // Fixed-size worker pool (paper layer "Threads": management of threads for
 // the middleware, independent of the library used).
 //
-// The proxy runs batch jobs on one, the reactor its blocking timer
-// callbacks, so bursty work cannot spawn unbounded threads.
+// The proxy runs batch jobs on one, and the grid builder its inter-proxy
+// handshakes, so bursty work cannot spawn unbounded threads.
 #pragma once
 
 #include <condition_variable>
@@ -33,7 +33,6 @@ class ThreadPool {
   /// Finishes queued tasks, then joins the workers. Idempotent.
   void shutdown();
 
-  std::size_t worker_count() const { return workers_.size(); }
   std::size_t pending() const;
 
  private:

@@ -221,7 +221,7 @@ class Grid {
   friend class GridBuilder;
   Grid() = default;
 
-  /// Monitor ticks, on the reactor's worker pool (they block on
+  /// Monitor ticks, on the ThreadCache (net::PeriodicTimer; they block on
   /// handshakes). Each timer runs its ticks one at a time.
   void reconnect_tick();
   void rehome_tick();

@@ -86,13 +86,10 @@ struct Reactor::IoThread {
 struct Reactor::TimerEntry {
   TimeMicros deadline = 0;
   std::function<void()> fn;
-  TimerThread where = TimerThread::kWorkers;
   bool running = false;
-  std::thread::id runner{};
 };
 
-Reactor::Reactor(ReactorOptions options)
-    : workers_(options.workers == 0 ? 1 : options.workers) {
+Reactor::Reactor(ReactorOptions options) {
   const std::size_t n = options.io_threads == 0 ? 1 : options.io_threads;
   io_threads_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -118,16 +115,13 @@ Reactor::~Reactor() {
     if (io->event_fd >= 0) ::close(io->event_fd);
     if (io->epoll_fd >= 0) ::close(io->epoll_fd);
   }
-  workers_.shutdown();
 }
 
 Reactor& Reactor::global() {
   // Intentionally leaked: connections may still close during static
   // teardown and must find a live reactor.
-  static Reactor* instance = new Reactor(ReactorOptions{
-      env_size("PG_REACTOR_IO_THREADS", 1),
-      env_size("PG_REACTOR_WORKERS", 8),
-  });
+  static Reactor* instance =
+      new Reactor(ReactorOptions{env_size("PG_REACTOR_IO_THREADS", 1)});
   return *instance;
 }
 
@@ -254,15 +248,13 @@ void Reactor::resume_reads(Id id) {
 }
 
 Reactor::TimerId Reactor::schedule_timer(TimeMicros delay,
-                                         std::function<void()> fn,
-                                         TimerThread where) {
+                                         std::function<void()> fn) {
   const TimerId id = next_timer_id_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(timer_mutex_);
     TimerEntry& entry = timers_[id];
     entry.deadline = steady_micros() + (delay < 0 ? 0 : delay);
     entry.fn = std::move(fn);
-    entry.where = where;
   }
   // Thread 0 recomputes its epoll timeout before it sleeps again, so only
   // another thread has to wake it.
@@ -278,8 +270,9 @@ bool Reactor::cancel_timer(TimerId id) {
     timers_.erase(it);
     return true;
   }
-  if (it->second.runner == std::this_thread::get_id()) {
-    // Self-cancel from inside the callback: waiting would deadlock.
+  if (t_timer_owner == this) {
+    // Only I/O thread 0 runs timers, one at a time, so this is a
+    // self-cancel from inside the callback: waiting would deadlock.
     return false;
   }
   timer_cv_.wait(lock, [&] { return timers_.find(id) == timers_.end(); });
@@ -471,10 +464,8 @@ void Reactor::drain_ready(IoThread& io) {
 int Reactor::next_timer_timeout_ms() {
   std::lock_guard<std::mutex> lock(timer_mutex_);
   TimeMicros best = -1;
-  for (const auto& [id, entry] : timers_) {
-    if (entry.running) continue;
+  for (const auto& [id, entry] : timers_)
     if (best < 0 || entry.deadline < best) best = entry.deadline;
-  }
   if (best < 0) return -1;  // idle: sleep until a registration wakes us
   const TimeMicros now = steady_micros();
   if (best <= now) return 0;
@@ -485,51 +476,34 @@ int Reactor::next_timer_timeout_ms() {
 
 void Reactor::fire_due_timers() {
   const TimeMicros now = steady_micros();
-  std::vector<std::pair<TimerId, std::function<void()>>> inline_due;
-  std::vector<std::pair<TimerId, std::function<void()>>> pool_due;
+  std::vector<TimerId> due;
   {
     std::lock_guard<std::mutex> lock(timer_mutex_);
-    for (auto& [id, entry] : timers_) {
-      if (!entry.running && entry.deadline <= now) {
-        entry.running = true;
-        if (entry.where == TimerThread::kIo) {
-          entry.runner = std::this_thread::get_id();
-          inline_due.emplace_back(id, std::move(entry.fn));
-        } else {
-          pool_due.emplace_back(id, std::move(entry.fn));
-        }
-      }
-    }
+    for (const auto& [id, entry] : timers_)
+      if (entry.deadline <= now) due.push_back(id);
   }
-  for (const auto& [id, fn] : inline_due) run_timer(id, fn);
-  for (auto& [id, fn] : pool_due) {
-    const bool posted = workers_.submit([this, id, fn = std::move(fn)] {
-      {
-        std::lock_guard<std::mutex> lock(timer_mutex_);
-        auto it = timers_.find(id);
-        if (it != timers_.end()) it->second.runner = std::this_thread::get_id();
-      }
-      run_timer(id, fn);
-    });
-    if (!posted) {
-      std::lock_guard<std::mutex> lock(timer_mutex_);
-      timers_.erase(id);
-      timer_cv_.notify_all();
-    }
-  }
-}
-
-void Reactor::run_timer(TimerId id, const std::function<void()>& fn) {
-  fn();
-  {
-    std::lock_guard<std::mutex> lock(timer_mutex_);
-    timers_.erase(id);
-  }
-  timer_cv_.notify_all();
-  timers_fired_.fetch_add(1, std::memory_order_relaxed);
   static telemetry::Counter& fired = telemetry::MetricRegistry::global().counter(
       "pg_reactor_timers_fired_total", "Reactor timer callbacks executed");
-  fired.increment();
+  for (const TimerId id : due) {
+    // Claimed one at a time, so a callback that cancels a later timer of
+    // this batch keeps it from running.
+    std::function<void()> fn;
+    {
+      std::lock_guard<std::mutex> lock(timer_mutex_);
+      auto it = timers_.find(id);
+      if (it == timers_.end()) continue;
+      it->second.running = true;
+      fn = std::move(it->second.fn);
+    }
+    fn();
+    {
+      std::lock_guard<std::mutex> lock(timer_mutex_);
+      timers_.erase(id);
+    }
+    timer_cv_.notify_all();
+    timers_fired_.fetch_add(1, std::memory_order_relaxed);
+    fired.increment();
+  }
 }
 
 bool Reactor::on_io_thread() { return t_on_io_thread; }
@@ -613,20 +587,41 @@ PeriodicTimer::PeriodicTimer(TimeMicros interval, std::function<void()> fn)
 void PeriodicTimer::arm() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (stopped_) return;
+  // The reactor timer runs on I/O thread 0, so it only hands the tick off.
   timer_ = Reactor::global().schedule_timer(interval_, [this] {
-    fn_();
-    arm();
+    std::lock_guard<std::mutex> fired(mutex_);
+    if (!stopped_) tick_ = ThreadCache::run([this] { tick(); });
   });
+}
+
+void PeriodicTimer::tick() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (stopped_) return;
+    tick_thread_ = std::this_thread::get_id();
+  }
+  fn_();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    tick_thread_ = std::thread::id();
+  }
+  arm();
 }
 
 void PeriodicTimer::stop() {
   Reactor::TimerId timer = 0;
+  ThreadCache::Handle tick;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopped_ = true;
     std::swap(timer, timer_);
+    // From inside the tick, waiting for it would deadlock.
+    if (tick_thread_ != std::this_thread::get_id()) tick = tick_;
   }
+  // Once stopped_ is set, a firing timer hands off no new tick, so the
+  // handle taken above covers the only tick that may still run.
   if (timer != 0) Reactor::global().cancel_timer(timer);
+  tick.wait();
 }
 
 }  // namespace pg::net

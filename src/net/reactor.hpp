@@ -21,8 +21,13 @@
 // ready list is non-empty, so fd events and timers still get a turn on
 // every iteration, and a chain of inline hops costs no wakeups.
 //
+// Timers: every schedule_timer callback runs on I/O thread 0, between
+// event batches, so it must not block either. The reactor starts no thread
+// besides its I/O threads; work that may block (a PeriodicTimer tick, an
+// offloaded handler) runs on the process ThreadCache.
+//
 // This replaces the thread-per-connection reader model: one proxy holds
-// 10k+ concurrent connections on io_threads + workers threads total
+// 10k+ concurrent connections on its io_threads alone
 // (bench/bench_connections.cpp proves the claim).
 #pragma once
 
@@ -40,7 +45,7 @@
 
 #include "common/clock.hpp"
 #include "common/status.hpp"
-#include "common/thread_pool.hpp"
+#include "common/thread_cache.hpp"
 #include "net/buffer_pool.hpp"
 #include "net/channel.hpp"
 #include "net/frame_decoder.hpp"
@@ -51,8 +56,6 @@ struct ReactorOptions {
   /// Event-loop threads. One suffices for tens of thousands of mostly-idle
   /// connections; bump for multi-core hot paths.
   std::size_t io_threads = 1;
-  /// Shared worker pool for kWorkers timer callbacks.
-  std::size_t workers = 8;
 };
 
 class Reactor {
@@ -88,7 +91,7 @@ class Reactor {
   Reactor& operator=(const Reactor&) = delete;
 
   /// The process-wide reactor every Connection registers with. Sized from
-  /// PG_REACTOR_IO_THREADS / PG_REACTOR_WORKERS when set. Never destroyed
+  /// PG_REACTOR_IO_THREADS when set. Never destroyed
   /// (connections may close during static teardown).
   static Reactor& global();
 
@@ -110,27 +113,22 @@ class Reactor {
   void pause_reads(Id id);
   void resume_reads(Id id);
 
-  /// Where a timer callback runs.
-  enum class TimerThread {
-    kWorkers,  // the shared worker pool; the callback may block
-    kIo,       // I/O thread 0 itself, between event batches; must not block
-  };
+  /// One-shot timer after `delay`. The callback runs on I/O thread 0
+  /// itself, between event batches, and must not block: it costs no thread
+  /// handoff, which matters for timers that fire every millisecond under
+  /// load. Periodic work that may block uses PeriodicTimer.
+  TimerId schedule_timer(TimeMicros delay, std::function<void()> fn);
 
-  /// One-shot timer after `delay`. A kIo callback costs no thread handoff,
-  /// which matters for timers that fire every millisecond under load.
-  TimerId schedule_timer(TimeMicros delay, std::function<void()> fn,
-                         TimerThread where = TimerThread::kWorkers);
-
-  /// Cancels a timer. True when it had not fired; when the callback is
-  /// already running, blocks until it finishes (unless called from the
-  /// callback itself) and returns false.
+  /// Cancels a timer. True when its callback had not started, even when
+  /// it was due in the batch whose earlier callback cancels it; when the
+  /// callback is already running, blocks until it finishes (unless called
+  /// from the callback itself) and returns false.
   bool cancel_timer(TimerId id);
 
   /// True on an event-loop thread of any Reactor. Such a thread must never
   /// wait on write backpressure: it is the thread that drains the queue.
   static bool on_io_thread();
 
-  std::size_t worker_count() const { return workers_.worker_count(); }
   std::size_t io_thread_count() const { return io_threads_.size(); }
   Stats stats() const;
 
@@ -158,12 +156,10 @@ class Reactor {
   void die(Conn& conn, const Status& reason);
   void drain_ready(IoThread& io);
   int next_timer_timeout_ms();
+  /// Runs every due timer's callback on this thread (I/O thread 0).
   void fire_due_timers();
-  /// Runs a due timer's callback on this thread, then retires it.
-  void run_timer(TimerId id, const std::function<void()>& fn);
 
   std::vector<std::unique_ptr<IoThread>> io_threads_;
-  ThreadPool workers_;
   BufferPool pool_;
 
   mutable std::mutex conns_mutex_;
@@ -188,8 +184,10 @@ class Reactor {
 };
 
 /// A self-rearming timer on the global reactor: runs `fn` every `interval`
-/// until stop() or destruction. Inert when `interval` <= 0. Holds no thread
-/// between ticks.
+/// until stop() or destruction. Inert when `interval` <= 0. The one place a
+/// periodic tick may block: the reactor timer only hands the tick to the
+/// ThreadCache, which re-arms the timer once `fn` returns, so ticks never
+/// overlap. Holds no thread between ticks.
 class PeriodicTimer {
  public:
   PeriodicTimer(TimeMicros interval, std::function<void()> fn);
@@ -199,17 +197,22 @@ class PeriodicTimer {
   PeriodicTimer& operator=(const PeriodicTimer&) = delete;
 
   /// Cancels the timer; a tick already running finishes first (unless
-  /// stop() is called from it) and does not re-arm. Idempotent.
+  /// stop() is called from it) and does not re-arm. No tick starts after
+  /// stop() returns. Idempotent.
   void stop();
 
  private:
   void arm();
+  /// The ThreadCache task of one tick: runs `fn_`, then re-arms.
+  void tick();
 
   const TimeMicros interval_;
   const std::function<void()> fn_;
   std::mutex mutex_;
   bool stopped_ = false;         // guarded by mutex_
   Reactor::TimerId timer_ = 0;   // guarded by mutex_
+  ThreadCache::Handle tick_;     // the last tick handed off; guarded by mutex_
+  std::thread::id tick_thread_;  // the thread inside fn_; guarded by mutex_
 };
 
 }  // namespace pg::net

@@ -150,8 +150,7 @@ void Connection::call_async(proto::OpCode op, BytesView payload,
                               "call to " + peer_name_ + " timed out");
           if (std::optional<PendingCall> taken = take_pending(id, attempt))
             taken->done(std::move(late));
-        },
-        net::Reactor::TimerThread::kIo);
+        });
   }
   // Once the connection is dead (alive_ is cleared before fail_pending
   // runs) the send fails and takes the slot back.

@@ -1421,8 +1421,7 @@ void ProxyServer::retry_failed(const std::shared_ptr<RetryCall>& call) {
   ++call->attempt;
   // The timer may safely touch the proxy: shutdown() waits for this chain.
   net::Reactor::global().schedule_timer(
-      backoff, [this, call] { retry_attempt(call); },
-      net::Reactor::TimerThread::kIo);
+      backoff, [this, call] { retry_attempt(call); });
 }
 
 void ProxyServer::retry_done(const std::shared_ptr<RetryCall>& call,

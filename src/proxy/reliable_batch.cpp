@@ -322,13 +322,12 @@ void ReliableBatchSender::arm_locked(std::uint64_t due) {
     if (armed.due <= due) return;
   const std::uint64_t now = now_micros();
   const std::uint64_t token = next_token_++;
-  // fire() never blocks, so it runs on the reactor's I/O thread: under
-  // steady traffic the ack deadline re-arms it every kMaxAckDelay, and a
-  // worker-pool wakeup that often would preempt the data path at random.
+  // fire() never blocks, as a reactor timer must not: under steady traffic
+  // the ack deadline re-arms it every kMaxAckDelay, on the I/O thread.
   armed_[token] = Armed{
       net::Reactor::global().schedule_timer(
           due > now ? static_cast<TimeMicros>(due - now) : TimeMicros{1},
-          [this, token] { fire(token); }, net::Reactor::TimerThread::kIo),
+          [this, token] { fire(token); }),
       due};
 }
 

@@ -1,5 +1,6 @@
 // Tests for the event-driven proxy core: the epoll reactor (partial-frame
-// reassembly, write backpressure, mid-read death, timers, connection churn),
+// reassembly, write backpressure, mid-read death, timers, periodic timers
+// whose ticks run on the thread cache, connection churn),
 // Connection's one dispatch path with its offload for blocking ops, and
 // the span-export hop riding on it.
 #include <gtest/gtest.h>
@@ -96,7 +97,7 @@ struct TcpHarness {
 };
 
 TEST(Reactor, PartialFrameReassembly) {
-  Reactor reactor(ReactorOptions{1, 2});
+  Reactor reactor(ReactorOptions{1});
   TcpHarness h(reactor);
   ASSERT_NE(h.id, 0u);
 
@@ -126,7 +127,7 @@ TEST(Reactor, PartialFrameReassembly) {
 }
 
 TEST(Reactor, BackpressureOnSlowReader) {
-  Reactor reactor(ReactorOptions{1, 2});
+  Reactor reactor(ReactorOptions{1});
   TcpHarness h(reactor);
   ASSERT_NE(h.id, 0u);
 
@@ -171,7 +172,7 @@ TEST(Reactor, BackpressureOnSlowReader) {
 }
 
 TEST(Reactor, MidReadConnectionDeath) {
-  Reactor reactor(ReactorOptions{1, 2});
+  Reactor reactor(ReactorOptions{1});
   TcpHarness h(reactor);
   ASSERT_NE(h.id, 0u);
 
@@ -189,7 +190,7 @@ TEST(Reactor, MidReadConnectionDeath) {
 }
 
 TEST(Reactor, TimerScheduleCancelFire) {
-  Reactor reactor(ReactorOptions{1, 2});
+  Reactor reactor(ReactorOptions{1});
 
   std::atomic<bool> late_fired{false};
   const Reactor::TimerId late = reactor.schedule_timer(
@@ -214,14 +215,44 @@ TEST(Reactor, TimerScheduleCancelFire) {
   EXPECT_FALSE(late_fired.load());
 }
 
+TEST(Reactor, TimerCancelledByAnEarlierTimerOfItsBatchDoesNotRun) {
+  Reactor reactor(ReactorOptions{1});
+  // The first timer holds I/O thread 0 until the next two are both due, so
+  // they fire in one batch, the earlier id first.
+  reactor.schedule_timer(1000, [] { std::this_thread::sleep_for(30ms); });
+  std::atomic<Reactor::TimerId> second{0};
+  std::atomic<bool> second_ran{false};
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::optional<bool> cancelled;
+  reactor.schedule_timer(5000, [&] {
+    const bool result = reactor.cancel_timer(second.load());
+    std::lock_guard<std::mutex> lock(mutex);
+    cancelled = result;
+    cv.notify_all();
+  });
+  second.store(reactor.schedule_timer(5000, [&] { second_ran.store(true); }));
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(cv.wait_for(lock, 10s, [&] { return cancelled.has_value(); }));
+    EXPECT_TRUE(*cancelled);
+  }
+  // A timer scheduled now fires after the rest of that batch.
+  std::atomic<bool> after{false};
+  reactor.schedule_timer(0, [&] { after.store(true); });
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (!after.load() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(1ms);
+  ASSERT_TRUE(after.load());
+  EXPECT_FALSE(second_ran.load());
+}
+
 TEST(Reactor, IoTimersRunOnTheEventLoopAndReArmFromIt) {
-  Reactor reactor(ReactorOptions{1, 2});
-  using TimerThread = Reactor::TimerThread;
+  Reactor reactor(ReactorOptions{1});
 
   std::atomic<bool> pending_fired{false};
   const Reactor::TimerId pending = reactor.schedule_timer(
-      60 * kMicrosPerSecond, [&] { pending_fired.store(true); },
-      TimerThread::kIo);
+      60 * kMicrosPerSecond, [&] { pending_fired.store(true); });
 
   // A chain of 1 ms timers, each scheduled from the previous callback on
   // the I/O thread: no wakeup is sent, and each must still fire.
@@ -229,35 +260,35 @@ TEST(Reactor, IoTimersRunOnTheEventLoopAndReArmFromIt) {
   std::condition_variable cv;
   int fired = 0;
   bool all_on_io = true;
-  bool worker_on_io = true;
+  bool last_on_io = false;
   std::function<void()> tick = [&] {
     std::lock_guard<std::mutex> lock(mutex);
     all_on_io = all_on_io && Reactor::on_io_thread();
     if (++fired < 5) {
-      reactor.schedule_timer(1000, tick, TimerThread::kIo);
+      reactor.schedule_timer(1000, tick);
     } else {
       reactor.schedule_timer(1000, [&] {
         std::lock_guard<std::mutex> inner(mutex);
-        worker_on_io = Reactor::on_io_thread();
+        last_on_io = Reactor::on_io_thread();
         ++fired;
         cv.notify_all();
       });
     }
   };
-  reactor.schedule_timer(1000, tick, TimerThread::kIo);
+  reactor.schedule_timer(1000, tick);
 
   {
     std::unique_lock<std::mutex> lock(mutex);
     ASSERT_TRUE(cv.wait_for(lock, 10s, [&] { return fired == 6; }));
     EXPECT_TRUE(all_on_io);
-    EXPECT_FALSE(worker_on_io);  // the default still runs on the pool
+    EXPECT_TRUE(last_on_io);  // every timer runs on the event loop
   }
   EXPECT_TRUE(reactor.cancel_timer(pending));
   EXPECT_FALSE(pending_fired.load());
 }
 
 TEST(Reactor, FdLessChannelsUseReadinessShim) {
-  Reactor reactor(ReactorOptions{1, 2});
+  Reactor reactor(ReactorOptions{1});
   ChannelPair pair = make_memory_channel_pair();
   auto link = tls::make_plain_link(*pair.b);
   Sink sink;
@@ -938,7 +969,7 @@ TEST(ReactorConnection, SelfWrittenFramesWakeNothing) {
 
 TEST(ReactorConnection, IoTimerFiresWhileInlineHopsRefillReadyList) {
   // An endless inline chain keeps the I/O thread's ready list non-empty;
-  // a kIo timer must still fire, between hops, while the chain runs.
+  // a timer must still fire, between hops, while the chain runs.
   InlineChain chain;
   ConnPair pair = connect_pair(chain.handler(), chain.handler());
   ASSERT_TRUE(pair.a->notify(proto::OpCode::kPing, {}).is_ok());
@@ -957,8 +988,7 @@ TEST(ReactorConnection, IoTimerFiresWhileInlineHopsRefillReadyList) {
         std::lock_guard<std::mutex> lock(mutex);
         hops_at_fire = chain.hops.load();
         cv.notify_all();
-      },
-      net::Reactor::TimerThread::kIo);
+      });
   {
     std::unique_lock<std::mutex> lock(mutex);
     EXPECT_TRUE(cv.wait_for(lock, 10s, [&] { return hops_at_fire >= 0; }))
@@ -974,6 +1004,135 @@ TEST(ReactorConnection, IoTimerFiresWhileInlineHopsRefillReadyList) {
   chain.stop.store(true);
   EXPECT_TRUE(chain.wait_finished());
   net::Reactor::global().cancel_timer(timer);  // in case it never fired
+}
+
+TEST(PeriodicTimer, BlockingTickDelaysNoReactorWork) {
+  // The tick runs on the thread cache: while it blocks, I/O thread 0 still
+  // fires a 1 ms timer and answers a ping.
+  ConnPair pair = connect_pair(
+      [](const proto::Envelope&, Connection&) {},
+      [](const proto::Envelope& env, Connection& conn) {
+        if (env.op == proto::OpCode::kPing)
+          (void)conn.respond(env, proto::OpCode::kPong, {});
+      });
+  std::mutex mutex;
+  std::condition_variable cv;
+  int ticks = 0;
+  bool blocked_tick_done = false;
+  bool tick_on_io = false;
+  net::PeriodicTimer periodic(1000, [&] {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      tick_on_io = tick_on_io || net::Reactor::on_io_thread();
+      if (++ticks > 1) return;
+      cv.notify_all();
+    }
+    std::this_thread::sleep_for(200ms);
+    std::lock_guard<std::mutex> lock(mutex);
+    blocked_tick_done = true;
+  });
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(cv.wait_for(lock, 10s, [&] { return ticks >= 1; }));
+  }
+
+  bool fired = false;
+  bool fired_while_blocked = false;
+  net::Reactor::global().schedule_timer(1000, [&] {
+    std::lock_guard<std::mutex> lock(mutex);
+    fired = true;
+    fired_while_blocked = !blocked_tick_done;
+    cv.notify_all();
+  });
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(cv.wait_for(lock, 10s, [&] { return fired; }));
+    EXPECT_TRUE(fired_while_blocked) << "the timer waited for the tick";
+  }
+  const Result<proto::Envelope> pong =
+      pair.a->call(proto::OpCode::kPing, {}, 10 * kMicrosPerSecond);
+  ASSERT_TRUE(pong.is_ok()) << pong.status().to_string();
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    EXPECT_FALSE(blocked_tick_done) << "the ping waited for the tick";
+  }
+  periodic.stop();
+  std::lock_guard<std::mutex> lock(mutex);
+  EXPECT_TRUE(blocked_tick_done);
+  EXPECT_FALSE(tick_on_io);
+}
+
+TEST(PeriodicTimer, StopWaitsForRunningTickAndNoTickRunsAfter) {
+  std::mutex mutex;
+  std::condition_variable cv;
+  int started = 0;
+  int finished = 0;
+  net::PeriodicTimer periodic(1000, [&] {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      ++started;
+      cv.notify_all();
+    }
+    std::this_thread::sleep_for(100ms);
+    std::lock_guard<std::mutex> lock(mutex);
+    ++finished;
+  });
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(cv.wait_for(lock, 10s, [&] { return started > finished; }));
+  }
+  periodic.stop();
+  int started_at_stop = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    EXPECT_EQ(finished, started) << "stop() returned while a tick ran";
+    started_at_stop = started;
+  }
+  std::this_thread::sleep_for(50ms);
+  std::lock_guard<std::mutex> lock(mutex);
+  EXPECT_EQ(started, started_at_stop) << "a tick started after stop()";
+}
+
+TEST(PeriodicTimer, StopFromItsOwnTickReturnsAtOnceAndDoesNotReArm) {
+  std::mutex mutex;
+  std::condition_variable cv;
+  int ticks = 0;
+  bool stop_returned = false;
+  std::optional<net::PeriodicTimer> periodic;
+  {
+    // Held while constructing, so the first tick finds `periodic` set.
+    std::lock_guard<std::mutex> lock(mutex);
+    periodic.emplace(1000, [&] {
+      net::PeriodicTimer* self = nullptr;
+      {
+        std::lock_guard<std::mutex> inner(mutex);
+        ++ticks;
+        self = &*periodic;
+      }
+      self->stop();
+      std::lock_guard<std::mutex> inner(mutex);
+      stop_returned = true;
+      cv.notify_all();
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(cv.wait_for(lock, 10s, [&] { return stop_returned; }));
+  }
+  std::this_thread::sleep_for(50ms);
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    EXPECT_EQ(ticks, 1) << "the timer re-armed after stop()";
+  }
+  periodic.reset();
+}
+
+TEST(PeriodicTimer, NonPositiveIntervalNeverTicks) {
+  std::atomic<int> ticks{0};
+  net::PeriodicTimer zero(0, [&] { ticks.fetch_add(1); });
+  net::PeriodicTimer negative(-1000, [&] { ticks.fetch_add(1); });
+  std::this_thread::sleep_for(50ms);
+  EXPECT_EQ(ticks.load(), 0);
 }
 
 }  // namespace

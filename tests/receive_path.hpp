@@ -157,7 +157,7 @@ class Rig {
  private:
   Endpoint end_;
   // Declared after end_: destroyed first, while the channels still live.
-  net::Reactor reactor_{net::ReactorOptions{1, 1}};
+  net::Reactor reactor_{net::ReactorOptions{1}};
   std::atomic<net::Reactor::Id> id_{0};
   Hook hook_;
   std::size_t written_ = 0;

@@ -446,7 +446,7 @@ TEST_F(ReactorReceivePath, SteadyStateReceiveDoesNotAllocate) {
     }
   };
 
-  net::Reactor reactor(net::ReactorOptions{1, 1});
+  net::Reactor reactor(net::ReactorOptions{1});
   net::ChannelPair plain = net::make_memory_channel_pair();
   MessageLinkPtr plain_rx = make_plain_link(*plain.b);
   SessionPair secure = handshake(config_for(*alice_), config_for(*bob_));
